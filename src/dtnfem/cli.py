@@ -34,7 +34,6 @@ _CONFIG_KEYS = {
     "n_angular": ("n_angular", int),
     "levels": ("levels", "ints"),
     "modes": ("modes", int),
-    "workers": ("workers", int),
     "output": ("output", str),
 }
 
@@ -95,7 +94,6 @@ def _add_common(sub):
     sub.add_argument("--d", help="incident direction, e.g. '1,0'")
     sub.add_argument("--n-angular", dest="n_angular", type=int)
     sub.add_argument("--modes", type=int, help="oracle mode budget")
-    sub.add_argument("--workers", type=int)
 
 
 def _study_config(args, **extra) -> StudyConfig:
@@ -103,7 +101,7 @@ def _study_config(args, **extra) -> StudyConfig:
     if args.config:
         values.update(read_config_file(args.config))
     for name in ("lam", "mu", "rho", "rho_f", "omega", "R0", "R",
-                 "n_angular", "modes", "workers", "output"):
+                 "n_angular", "modes", "output"):
         if getattr(args, name, None) is not None:
             values[name] = getattr(args, name)
     if getattr(args, "d", None) is not None:
@@ -286,7 +284,8 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"dtnfem: configuration error: {exc}", file=sys.stderr)
         return 1
-    except (SingularSystemError, analytic.SingularModeError) as exc:
+    except (SingularSystemError, analytic.SingularModeError,
+            OverflowError) as exc:
         print(f"dtnfem: numerical failure: {exc}", file=sys.stderr)
         return 2
 

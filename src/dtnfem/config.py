@@ -29,6 +29,10 @@ class PhysicalConfig:
     d: tuple = (1.0, 0.0)
 
     def __post_init__(self):
+        if not np.all(np.isfinite([self.lam, self.mu, self.rho, self.rho_f,
+                                   self.omega, self.k, self.R0, self.R,
+                                   *self.d])):
+            raise ValueError("physical parameters must be finite")
         if self.mu <= 0.0 or self.lam + self.mu <= 0.0:
             raise ValueError("need mu > 0 and lam + mu > 0")
         if self.rho <= 0.0 or self.rho_f <= 0.0:

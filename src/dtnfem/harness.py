@@ -11,16 +11,14 @@ rate measurement needs so quadrature error never masquerades as convergence.
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import analytic
 from . import dtn as dtn_ops
-from .assembly import assemble_blocks, assemble_system
+from .assembly import _p1_geometry, assemble_blocks, assemble_system
 from .config import PhysicalConfig
 from .mesh import Mesh, build_annulus_mesh, build_disc_mesh, mesh_size, refine
 from .solve import FieldSolution, solve
@@ -30,7 +28,7 @@ __all__ = [
     "ConvergenceResult", "TruncationResult", "PlateauInfo",
     "error_norms", "convergence_study", "truncation_study", "operator_decay",
     "build_mesh_pair", "run_single", "write_csv",
-    "fitted_order", "successive_orders",
+    "fitted_order",
 ]
 
 CSV_HEADER = "h,N,k,dofs,err_h0,err_h1,seconds"
@@ -52,6 +50,10 @@ _TRI_QW = np.array([9 / 40,
 
 @dataclass(frozen=True)
 class ErrorReport:
+    """One study row.  ``seconds`` is the wall time of the row's
+    ``assemble_system`` plus ``solve``; building the mesh, the oracle tables
+    and the error reduction are not counted."""
+
     h: float
     N: int
     k: float
@@ -61,28 +63,9 @@ class ErrorReport:
     seconds: float
 
 
-def _quad_points(mesh: Mesh):
-    p = mesh.nodes[mesh.triangles]               # (T, 3, 2)
-    pts = np.einsum("qa,tad->tqd", _TRI_QP, p)   # (T, Q, 2)
-    d1 = p[:, 1] - p[:, 0]
-    d2 = p[:, 2] - p[:, 0]
-    area = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
-    return pts, area
-
-
-def _p1_gradients(mesh: Mesh):
-    p = mesh.nodes[mesh.triangles]
-    x, y = p[..., 0], p[..., 1]
-    det = (x[:, 1] - x[:, 0]) * (y[:, 2] - y[:, 0]) \
-        - (x[:, 2] - x[:, 0]) * (y[:, 1] - y[:, 0])
-    g = np.empty_like(p)
-    g[:, 0, 0] = y[:, 1] - y[:, 2]
-    g[:, 0, 1] = x[:, 2] - x[:, 1]
-    g[:, 1, 0] = y[:, 2] - y[:, 0]
-    g[:, 1, 1] = x[:, 0] - x[:, 2]
-    g[:, 2, 0] = y[:, 0] - y[:, 1]
-    g[:, 2, 1] = x[:, 1] - x[:, 0]
-    return g / det[:, None, None]
+def _quad_points(mesh: Mesh) -> np.ndarray:
+    """Quadrature points (T, Q, 2) of every triangle."""
+    return np.einsum("qa,tad->tqd", _TRI_QP, mesh.nodes[mesh.triangles])
 
 
 class _ExactQuadrature:
@@ -97,9 +80,11 @@ class _ExactQuadrature:
         self.disc_mesh = disc_mesh
         self.annulus_mesh = annulus_mesh
         self.exact = exact
+        self.h = max(mesh_size(disc_mesh), mesh_size(annulus_mesh))
+        self.dofs = 2 * disc_mesh.num_nodes + annulus_mesh.num_nodes
 
-        pts, self.area_d = _quad_points(disc_mesh)
-        self.grads_d = _p1_gradients(disc_mesh)
+        self.grads_d, self.area_d = _p1_geometry(disc_mesh)
+        pts = _quad_points(disc_mesh)
         r = np.hypot(pts[..., 0], pts[..., 1])
         th = np.arctan2(pts[..., 1], pts[..., 0])
         # boundary triangles are chords of the circles, so a few quadrature
@@ -107,8 +92,8 @@ class _ExactQuadrature:
         self.u_ex, self.jac_ex = analytic.eval_displacement(
             exact, r, th, with_gradient=True, check_domain=False)
 
-        pts, self.area_a = _quad_points(annulus_mesh)
-        self.grads_a = _p1_gradients(annulus_mesh)
+        self.grads_a, self.area_a = _p1_geometry(annulus_mesh)
+        pts = _quad_points(annulus_mesh)
         r = np.hypot(pts[..., 0], pts[..., 1])
         th = np.arctan2(pts[..., 1], pts[..., 0])
         self.p_ex, (pr, pt) = analytic.eval_pressure(
@@ -140,6 +125,12 @@ class _ExactQuadrature:
         err_h1 = np.sqrt(l2_d + l2_a + h1_d + h1_a)
         return float(err_h0), float(err_h1)
 
+    def report(self, sol: FieldSolution, seconds: float) -> ErrorReport:
+        err_h0, err_h1 = self.errors(sol.u_nodal, sol.p_nodal)
+        return ErrorReport(h=self.h, N=sol.config.N, k=sol.config.k,
+                           dofs=self.dofs, err_h0=err_h0, err_h1=err_h1,
+                           seconds=seconds)
+
 
 _PHYSICAL_FIELDS = ("lam", "mu", "rho", "rho_f", "omega", "k", "R0", "R", "d")
 
@@ -149,22 +140,13 @@ def _same_physics(a: PhysicalConfig, b: PhysicalConfig) -> bool:
 
 
 def error_norms(sol: FieldSolution, exact: analytic.SeriesSolution) -> ErrorReport:
-    """Measure the discrete solution against the modal oracle."""
+    """Measure the discrete solution against the modal oracle.  No solve is
+    timed here, so the report's ``seconds`` is 0."""
     if not _same_physics(sol.config, exact.config):
         raise ValueError("solution and oracle use different physical "
                          "configurations")
-    t0 = time.perf_counter()
-    quad = _ExactQuadrature(sol.disc_mesh, sol.annulus_mesh, exact)
-    err_h0, err_h1 = quad.errors(sol.u_nodal, sol.p_nodal)
-    h = max(mesh_size(sol.disc_mesh), mesh_size(sol.annulus_mesh))
-    dofs = 2 * sol.disc_mesh.num_nodes + sol.annulus_mesh.num_nodes
-    return ErrorReport(h=h, N=sol.config.N, k=sol.config.k, dofs=dofs,
-                       err_h0=err_h0, err_h1=err_h1,
-                       seconds=time.perf_counter() - t0)
-
-
-def _default_workers() -> int:
-    return max(1, int(os.environ.get("DTNFEM_WORKERS", "1")))
+    return _ExactQuadrature(sol.disc_mesh, sol.annulus_mesh,
+                            exact).report(sol, 0.0)
 
 
 @dataclass(frozen=True)
@@ -186,7 +168,6 @@ class StudyConfig:
     n_values: tuple = tuple(range(1, 21))
     modes: int | None = None
     output: str | None = None
-    workers: int = field(default_factory=_default_workers)
 
     def __post_init__(self):
         if not self.levels or not self.k_values or not self.n_values:
@@ -217,22 +198,30 @@ def _solve_exact(cfg: StudyConfig, k: float) -> analytic.SeriesSolution:
     return analytic.solve_modes(cfg.physical(k), n_modes=cfg.modes)
 
 
+def _solve_row(disc: Mesh, annulus: Mesh, config: PhysicalConfig,
+               blocks=None):
+    """Assemble and solve one study row; returns (solution, seconds), the
+    only timing a row reports."""
+    t0 = time.perf_counter()
+    sol = solve(assemble_system(disc, annulus, config, blocks))
+    return sol, time.perf_counter() - t0
+
+
+def _level_row(cfg: StudyConfig, exact: analytic.SeriesSolution, N: int,
+               level: int):
+    """Mesh pair, solve, then errors: returns (report, solution).  The
+    oracle tables are built only after the factorization is freed."""
+    disc, annulus = build_mesh_pair(cfg.R0, cfg.R, cfg.n_angular, level)
+    sol, seconds = _solve_row(disc, annulus,
+                              cfg.physical(exact.config.k, N))
+    return _ExactQuadrature(disc, annulus, exact).report(sol, seconds), sol
+
+
 def run_single(cfg: StudyConfig, k: float, N: int, level: int):
     """One full pipeline pass; returns (report, solution, oracle)."""
     exact = _solve_exact(cfg, k)
-    disc, annulus = build_mesh_pair(cfg.R0, cfg.R, cfg.n_angular, level)
-    t0 = time.perf_counter()
-    sol = solve(assemble_system(disc, annulus, cfg.physical(k, N)))
-    report = error_norms(sol, exact)
-    report = replace(report, seconds=time.perf_counter() - t0)
+    report, sol = _level_row(cfg, exact, N, level)
     return report, sol, exact
-
-
-def _map_ordered(fn, items, workers: int):
-    if workers <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def fitted_order(hs, errs) -> float:
@@ -241,17 +230,10 @@ def fitted_order(hs, errs) -> float:
                             np.log(np.asarray(errs)), 1)[0])
 
 
-def successive_orders(hs, errs):
-    hs = np.asarray(hs, dtype=float)
-    errs = np.asarray(errs, dtype=float)
-    return list(np.log(errs[:-1] / errs[1:]) / np.log(hs[:-1] / hs[1:]))
-
-
 @dataclass(frozen=True)
 class ConvergenceResult:
     reports: list
     orders: dict        # k -> (fitted order err_h0, fitted order err_h1)
-    step_orders: dict   # k -> (successive h0 orders, successive h1 orders)
     residuals: list
 
     def footer(self):
@@ -261,33 +243,22 @@ class ConvergenceResult:
 
 def convergence_study(cfg: StudyConfig) -> ConvergenceResult:
     """h refinement at fixed truncation order cfg.N."""
-    reports, residuals = [], []
-    orders, step_orders = {}, {}
-
-    def one_level(args):
-        k, exact, level = args
-        disc, annulus = build_mesh_pair(cfg.R0, cfg.R, cfg.n_angular, level)
-        t0 = time.perf_counter()
-        sol = solve(assemble_system(disc, annulus, cfg.physical(k)))
-        report = error_norms(sol, exact)
-        return replace(report, seconds=time.perf_counter() - t0), sol.residual
-
+    reports, residuals, orders = [], [], {}
     for k in cfg.k_values:
         exact = _solve_exact(cfg, k)
-        out = _map_ordered(one_level, [(k, exact, lv) for lv in cfg.levels],
-                           cfg.workers)
-        ks_reports = [r for r, _ in out]
-        reports.extend(ks_reports)
-        residuals.extend(r for _, r in out)
-        hs = [r.h for r in ks_reports]
-        if len(ks_reports) > 1:
-            orders[k] = (fitted_order(hs, [r.err_h0 for r in ks_reports]),
-                         fitted_order(hs, [r.err_h1 for r in ks_reports]))
-            step_orders[k] = (
-                successive_orders(hs, [r.err_h0 for r in ks_reports]),
-                successive_orders(hs, [r.err_h1 for r in ks_reports]))
+        curve = []
+        for level in cfg.levels:
+            report, sol = _level_row(cfg, exact, cfg.N, level)
+            curve.append(report)
+            residuals.append(sol.residual)
+            del sol   # not kept alive through the next level's solve
+        reports.extend(curve)
+        if len(curve) > 1:
+            hs = [r.h for r in curve]
+            orders[k] = (fitted_order(hs, [r.err_h0 for r in curve]),
+                         fitted_order(hs, [r.err_h1 for r in curve]))
     return ConvergenceResult(reports=reports, orders=orders,
-                             step_orders=step_orders, residuals=residuals)
+                             residuals=residuals)
 
 
 @dataclass(frozen=True)
@@ -325,27 +296,18 @@ def truncation_study(cfg: StudyConfig) -> TruncationResult:
                                             level)
             blocks = assemble_blocks(disc, annulus, cfg.physical(k))
             quad = _ExactQuadrature(disc, annulus, exact)
-            h = max(mesh_size(disc), mesh_size(annulus))
-            dofs = blocks.dof_map.size
-
-            def one_order(N):
-                t0 = time.perf_counter()
-                sol = solve(assemble_system(disc, annulus,
-                                            cfg.physical(k, N), blocks))
-                err_h0, err_h1 = quad.errors(sol.u_nodal, sol.p_nodal)
-                rep = ErrorReport(h=h, N=N, k=k, dofs=dofs, err_h0=err_h0,
-                                  err_h1=err_h1,
-                                  seconds=time.perf_counter() - t0)
-                return rep, sol.residual
-
-            out = _map_ordered(one_order, list(cfg.n_values), cfg.workers)
-            curve = [r for r, _ in out]
+            curve = []
+            for N in cfg.n_values:
+                sol, seconds = _solve_row(disc, annulus, cfg.physical(k, N),
+                                          blocks)
+                curve.append(quad.report(sol, seconds))
+                residuals.append(sol.residual)
             reports.extend(curve)
-            residuals.extend(r for _, r in out)
             errs = np.array([r.err_h0 for r in curve])
             n_star = int(np.asarray(cfg.n_values)[
                 np.argmax(errs <= 1.05 * errs[-1])])
-            plateaus.append(PlateauInfo(k=k, level=level, h=h, n_star=n_star,
+            plateaus.append(PlateauInfo(k=k, level=level, h=quad.h,
+                                        n_star=n_star,
                                         plateau_err=float(errs[-1])))
     return TruncationResult(reports=reports, plateaus=plateaus,
                             residuals=residuals)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -23,8 +24,9 @@ class SingularSystemError(RuntimeError):
     configuration.  Never silently regularized."""
 
 
-def solve_linear(matrix: sp.spmatrix, rhs: np.ndarray) -> np.ndarray:
-    """Sparse LU with partial pivoting plus a hard post-solve residual check."""
+def solve_linear(matrix: sp.spmatrix, rhs: np.ndarray):
+    """Sparse LU with partial pivoting plus a hard post-solve residual check;
+    returns (x, relative residual)."""
     if matrix.shape[0] != matrix.shape[1] or matrix.shape[0] != rhs.shape[0]:
         raise ValueError("system matrix and right-hand side sizes disagree")
     try:
@@ -35,12 +37,12 @@ def solve_linear(matrix: sp.spmatrix, rhs: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(x)):
         raise SingularSystemError("solver produced non-finite values")
     rhs_norm = np.linalg.norm(rhs)
-    residual = np.linalg.norm(matrix @ x - rhs) / max(rhs_norm, 1e-300)
+    residual = float(np.linalg.norm(matrix @ x - rhs) / max(rhs_norm, 1e-300))
     if residual > RESIDUAL_TOL:
         raise SingularSystemError(
             f"relative residual {residual:.3e} exceeds {RESIDUAL_TOL:g}; "
             "system is numerically singular")
-    return x
+    return x, residual
 
 
 @dataclass(frozen=True)
@@ -58,12 +60,18 @@ class FieldSolution:
         self.u_nodal.setflags(write=False)
         self.p_nodal.setflags(write=False)
 
+    # point location state lives and dies with the solution
+    @cached_property
+    def _disc_locator(self) -> _Locator:
+        return _Locator(self.disc_mesh)
+
+    @cached_property
+    def _annulus_locator(self) -> _Locator:
+        return _Locator(self.annulus_mesh)
+
 
 def solve(system: FemSystem) -> FieldSolution:
-    x = solve_linear(system.matrix, system.rhs)
-    residual = float(
-        np.linalg.norm(system.matrix @ x - system.rhs)
-        / max(np.linalg.norm(system.rhs), 1e-300))
+    x, residual = solve_linear(system.matrix, system.rhs)
     ns = system.dof_map.n_solid_nodes
     return FieldSolution(
         u_nodal=x[:2 * ns].reshape(ns, 2),
@@ -121,25 +129,14 @@ class _Locator:
         raise ValueError(f"point {tuple(point)} lies outside the mesh")
 
 
-_locators: dict = {}
-
-
-def _locator(mesh: Mesh) -> _Locator:
-    loc = _locators.get(id(mesh))
-    if loc is None or loc.mesh is not mesh:
-        loc = _Locator(mesh)
-        _locators[id(mesh)] = loc
-    return loc
-
-
 def evaluate_field(sol: FieldSolution, point, which: str):
     """Barycentric P1 interpolation of 'u' (2-vector) or 'p' (scalar)."""
     if which == "u":
-        mesh, values = sol.disc_mesh, sol.u_nodal
+        locator, values = sol._disc_locator, sol.u_nodal
     elif which == "p":
-        mesh, values = sol.annulus_mesh, sol.p_nodal
+        locator, values = sol._annulus_locator, sol.p_nodal
     else:
         raise ValueError("which must be 'u' or 'p'")
-    t, lam = _locator(mesh).locate(point)
-    out = np.tensordot(lam, values[mesh.triangles[t]], axes=(0, 0))
+    t, lam = locator.locate(point)
+    out = np.tensordot(lam, values[locator.mesh.triangles[t]], axes=(0, 0))
     return out if which == "u" else complex(out)

@@ -119,3 +119,22 @@ def test_numerical_failure_exit_code(monkeypatch, capsys):
     monkeypatch.setattr(cli, "run_single", boom)
     assert run(["solve", "--k", "1"]) == 2
     assert "numerical failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag,value", [("--mu", "nan"), ("--k", "inf")])
+def test_non_finite_physics_is_a_configuration_error(flag, value, capsys):
+    assert run(["solve", flag, value, "--level", "0"]) == 1
+    err = capsys.readouterr().err
+    assert "configuration error" in err
+    assert "Traceback" not in err
+
+
+def test_overflow_is_a_numerical_failure(monkeypatch, capsys):
+    def overflow(*args, **kwargs):
+        raise OverflowError("math range error")
+
+    monkeypatch.setattr(cli, "run_single", overflow)
+    assert run(["solve", "--k", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "numerical failure" in err
+    assert len(err.strip().splitlines()) == 1

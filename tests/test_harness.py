@@ -236,16 +236,14 @@ def test_study_config_validation():
         StudyConfig(k_values=())
 
 
-def test_workers_env_default(monkeypatch):
-    monkeypatch.setenv("DTNFEM_WORKERS", "3")
-    assert StudyConfig().workers == 3
-
-
-def test_parallel_study_identical():
-    seq = harness.convergence_study(StudyConfig(levels=(1,), workers=1))
-    par = harness.convergence_study(StudyConfig(levels=(1,), workers=2))
-    assert seq.reports[0].err_h0 == par.reports[0].err_h0
-    assert seq.reports[0].err_h1 == par.reports[0].err_h1
+def test_truncation_row_at_study_order_is_the_convergence_row(
+        convergence_result, truncation_result):
+    """Both studies measure their N=20 rows through the same pipeline."""
+    n20 = [r for r in truncation_result.reports if r.N == 20]
+    assert len(n20) == len(convergence_result.reports) == 3
+    for trunc, conv in zip(n20, convergence_result.reports):
+        assert (trunc.h, trunc.dofs, trunc.err_h0, trunc.err_h1) == \
+            (conv.h, conv.dofs, conv.err_h0, conv.err_h1)
 
 
 def test_csv_output(tmp_path, convergence_result):

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -24,11 +27,21 @@ def test_identity_system():
     eye = sp.identity(10, format="csr", dtype=complex)
     rhs = np.zeros(10, dtype=complex)
     rhs[0] = 1.0
-    assert np.array_equal(solve_linear(eye, rhs), rhs)
+    x, residual = solve_linear(eye, rhs)
+    assert np.array_equal(x, rhs)
+    assert residual == 0.0
 
 
 def test_residual_on_reference_configuration(solution16):
     assert solution16.residual <= 1e-10
+
+
+def test_solve_keeps_the_solver_residual(system16, solution16):
+    x, residual = solve_linear(system16.matrix, system16.rhs)
+    recomputed = (np.linalg.norm(system16.matrix @ x - system16.rhs)
+                  / np.linalg.norm(system16.rhs))
+    assert residual == pytest.approx(recomputed, rel=1e-12)
+    assert solution16.residual == residual
 
 
 def test_solution_shapes_and_finiteness(system16, solution16):
@@ -40,17 +53,17 @@ def test_solution_shapes_and_finiteness(system16, solution16):
 
 
 def test_permutation_equivariance(system16):
-    x = solve_linear(system16.matrix, system16.rhs)
+    x, _ = solve_linear(system16.matrix, system16.rhs)
     rng = np.random.default_rng(3)
     perm = rng.permutation(system16.matrix.shape[0])
     P = sp.coo_matrix((np.ones(len(perm)), (np.arange(len(perm)), perm))).tocsr()
-    xp = solve_linear((P @ system16.matrix @ P.T).tocsr(), P @ system16.rhs)
+    xp, _ = solve_linear((P @ system16.matrix @ P.T).tocsr(), P @ system16.rhs)
     assert np.max(np.abs(P.T @ xp - x)) < 1e-12 * max(1.0, np.max(np.abs(x)))
 
 
 def test_deterministic_bitwise(system16):
-    a = solve_linear(system16.matrix, system16.rhs)
-    b = solve_linear(system16.matrix, system16.rhs)
+    a, _ = solve_linear(system16.matrix, system16.rhs)
+    b, _ = solve_linear(system16.matrix, system16.rhs)
     assert np.array_equal(a, b)
 
 
@@ -116,3 +129,15 @@ def test_evaluate_outside_raises(solution16):
 def test_evaluate_unknown_field_rejected(solution16):
     with pytest.raises(ValueError):
         evaluate_field(solution16, (0.1, 0.1), "w")
+
+
+def test_locators_die_with_the_solution():
+    disc = M.build_disc_mesh(1.0, 16)
+    ann = M.build_annulus_mesh(1.0, 2.0, 16)
+    sol = solve(assembly.assemble_system(disc, ann, PhysicalConfig()))
+    assert np.isfinite(evaluate_field(sol, (1.5, 0.0), "p"))
+    assert np.all(np.isfinite(evaluate_field(sol, (0.2, 0.1), "u")))
+    mesh_ref = weakref.ref(ann)
+    del disc, ann, sol
+    gc.collect()
+    assert mesh_ref() is None
