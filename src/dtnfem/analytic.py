@@ -33,6 +33,8 @@ __all__ = [
 
 _RESIDUAL_RTOL = 1e-12
 _TAIL_RTOL = 1e-16
+_BLOCK = 1024          # points per block: no temporary grows with the points
+_J_SEED_MIN = 1e-250   # smallest J_M seed the backward recurrence accepts
 
 
 class SingularModeError(RuntimeError):
@@ -168,6 +170,11 @@ def _broadcast(r, theta):
             np.broadcast_to(theta, shape).ravel(), shape)
 
 
+def _blocks(size: int):
+    for start in range(0, size, _BLOCK):
+        yield slice(start, start + _BLOCK)
+
+
 def eval_pressure(sol: SeriesSolution, r, theta, with_gradient: bool = False,
                   check_domain: bool = True):
     """Scattered pressure at (r, theta); optionally its polar gradient.
@@ -185,20 +192,20 @@ def eval_pressure(sol: SeriesSolution, r, theta, with_gradient: bool = False,
     M = sol.n_modes
     k = cfg.k
     tp = tf - _incidence_angle(cfg)
-    orders = np.arange(M + 1)
-    H = _sp.hankel1(orders[:, None], k * rf[None, :])  # orders 0..M
-
-    p = np.zeros(rf.shape, dtype=complex)
-    pr = np.zeros_like(p)
-    pt = np.zeros_like(p)
-    for n in range(M):
-        a = sol.pressure_coeffs[n]
-        cn = np.cos(n * tp)
-        p += a * H[n] * cn
+    a = sol.pressure_coeffs
+    n = np.arange(M)
+    p = np.empty(rf.shape, dtype=complex)
+    pr = np.empty_like(p)
+    pt = np.empty_like(p)
+    for blk in _blocks(rf.size):
+        H = _h_table(M, k * rf[blk])              # orders 0..M
+        nt = np.outer(n, tp[blk])
+        cn = np.cos(nt)
+        p[blk] = a @ (H[:M] * cn)
         if with_gradient:
-            Hm1 = -H[1] if n == 0 else H[n - 1]
-            pr += a * k * 0.5 * (Hm1 - H[n + 1]) * cn
-            pt += -a * n * H[n] * np.sin(n * tp)
+            Hm1 = np.concatenate([-H[1:2], H[:M - 1]])   # H_{-1} = -H_1
+            pr[blk] = (0.5 * k) * (a @ ((Hm1 - H[1:]) * cn))
+            pt[blk] = -(a * n) @ (H[:M] * np.sin(nt))
 
     def _shape(v):
         v = v.reshape(shape)
@@ -209,44 +216,69 @@ def eval_pressure(sol: SeriesSolution, r, theta, with_gradient: bool = False,
     return _shape(p)
 
 
+def _h_table(M: int, x: np.ndarray) -> np.ndarray:
+    """H^(1)_n(x) for orders 0..M, shape (M+1, len(x)).
+
+    Forward recurrence H_{n+1} = (2n/x) H_n - H_{n-1} from scipy's H_0 and
+    H_1; stable because the Y_n part dominates (DLMF 10.6.1).
+    """
+    H = np.empty((M + 1, x.size), dtype=complex)
+    H[0] = _sp.hankel1(0, x)
+    H[1] = _sp.hankel1(1, x)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        inv_x = 1.0 / x
+        for n in range(1, M):
+            H[n + 1] = (2.0 * n) * inv_x * H[n] - H[n - 1]
+    return H
+
+
 def _j_table(M: int, x: np.ndarray) -> np.ndarray:
-    """J_n(x) for orders 0..M+1, shape (M+2, len(x))."""
-    return _sp.jv(np.arange(M + 2)[:, None], x[None, :])
+    """J_n(x) for orders 0..M+1, shape (M+2, len(x)).
+
+    Backward (Miller) recurrence J_{n-1} = (2n/x) J_n - J_{n+1} from scipy's
+    J_M and J_{M+1} (DLMF 10.74.iv), then every column rescaled by the
+    least-squares fit of its J_0, J_1 to scipy's j0, j1: this removes the
+    seeds' relative scale error, and J_0, J_1 share no zero.  Columns whose
+    seed J_M is below 1e-250 would underflow and take scipy's order table.
+    """
+    J = np.empty((M + 2, x.size))
+    J[M + 1] = _sp.jv(M + 1, x)
+    J[M] = _sp.jv(M, x)
+    tiny = ~(np.abs(J[M]) >= _J_SEED_MIN)     # nan seeds too
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        inv_x = 1.0 / x
+        for n in range(M, 0, -1):
+            J[n - 1] = (2.0 * n) * inv_x * J[n] - J[n + 1]
+        J *= (J[0] * _sp.j0(x) + J[1] * _sp.j1(x)) / (J[0] ** 2 + J[1] ** 2)
+    if np.any(tiny):
+        J[:, tiny] = _sp.jv(np.arange(M + 2)[:, None], x[None, tiny])
+    return J
 
 
-def _potential_derivs(coeffs, kappa, J, tp, trig, r):
-    """Polar derivative stack (f, f_r, f_t, f_rr, f_rt, f_tt) of a potential
-    sum_n coeffs[n] J_n(kappa r) trig(n t).  trig is np.cos or np.sin; the
-    theta-derivative flips cos<->sin with the appropriate sign."""
+def _mode_sum(c, X, Y):
+    """sum_n c[n] X[n] Y[n] over the mode axis; c complex, X and Y real."""
+    v = np.stack([c.real, c.imag]) @ (X * Y)
+    return v[0] + 1j * v[1]
+
+
+def _potential_derivs(coeffs, kappa, J, tg, cotg, sign, second):
+    """Polar derivatives (f_r, f_t), plus (f_rr, f_rt, f_tt) if second, of the
+    potential f = sum_n coeffs[n] J_n(kappa r) tg[n], where the angular factor
+    tg[n] is cos(nt) or sin(nt) and its t-derivative is sign * n * cotg[n]."""
     M = len(coeffs)
-    shape = r.shape
-    f = np.zeros(shape, complex); fr = np.zeros(shape, complex)
-    ft = np.zeros(shape, complex); frr = np.zeros(shape, complex)
-    frt = np.zeros(shape, complex); ftt = np.zeros(shape, complex)
-    cosine = trig is np.cos
-    for n in range(M):
-        Jn = J[n]
-        Jm1 = -J[1] if n == 0 else J[n - 1]
-        Jp1 = J[n + 1]
-        if n >= 2:
-            Jm2 = J[n - 2]
-        elif n == 1:
-            Jm2 = -J[1]
-        else:
-            Jm2 = J[2]
-        dJ = 0.5 * (Jm1 - Jp1)
-        ddJ = 0.25 * (Jm2 - 2.0 * Jn + J[n + 2])
-        tg = trig(n * tp)
-        # d/dt of cos(nt) is -n sin(nt); of sin(nt) is n cos(nt)
-        dtg = -n * np.sin(n * tp) if cosine else n * np.cos(n * tp)
-        c = coeffs[n]
-        f += c * Jn * tg
-        fr += c * kappa * dJ * tg
-        ft += c * Jn * dtg
-        frr += c * kappa ** 2 * ddJ * tg
-        frt += c * kappa * dJ * dtg
-        ftt += -c * n ** 2 * Jn * tg
-    return f, fr, ft, frr, frt, ftt
+    n = np.arange(M)
+    # J[n + 2] holds J_n for n = -2..M+1: J_{-1} = -J_1, J_{-2} = J_2
+    J = np.concatenate([J[2:3], -J[1:2], J])
+    Jn = J[2:M + 2]
+    dJ = 0.5 * (J[1:M + 1] - J[3:M + 3])
+    cd = sign * n * coeffs
+    out = [kappa * _mode_sum(coeffs, dJ, tg), _mode_sum(cd, Jn, cotg)]
+    if second:
+        ddJ = 0.25 * (J[:M] - 2.0 * Jn + J[4:M + 4])
+        out += [kappa ** 2 * _mode_sum(coeffs, ddJ, tg),
+                kappa * _mode_sum(cd, dJ, cotg),
+                -_mode_sum(coeffs * n ** 2, Jn, tg)]
+    return out
 
 
 def _cartesian_first(fr, ft, r, c, s):
@@ -297,41 +329,41 @@ def eval_displacement(sol: SeriesSolution, r, theta,
     rsafe = np.where(at_origin, cfg.R0, rf)
 
     M = sol.n_modes
-    Jp = _j_table(M, cfg.k_p * rsafe)
-    Js = _j_table(M, cfg.k_s * rsafe)
-    (_, phr, pht, phrr, phrt, phtt) = _potential_derivs(
-        sol.comp_coeffs, cfg.k_p, Jp, tp, np.cos, rsafe)
-    (_, psr, pst, psrr, psrt, pstt) = _potential_derivs(
-        sol.shear_coeffs, cfg.k_s, Js, tp, np.sin, rsafe)
-
-    c, s = np.cos(tf), np.sin(tf)
-    phx, phy = _cartesian_first(phr, pht, rsafe, c, s)
-    psx, psy = _cartesian_first(psr, pst, rsafe, c, s)
-    ux = phx + psy
-    uy = phy - psx
-
-    if with_gradient:
-        phxx, phxy, phyy = _cartesian_second(phr, pht, phrr, phrt, phtt,
-                                             rsafe, c, s)
-        psxx, psxy, psyy = _cartesian_second(psr, pst, psrr, psrt, pstt,
-                                             rsafe, c, s)
-        jac = np.empty(rf.shape + (2, 2), dtype=complex)
-        jac[:, 0, 0] = phxx + psxy
-        jac[:, 0, 1] = phxy + psyy
-        jac[:, 1, 0] = phxy - psxx
-        jac[:, 1, 1] = phyy - psxy
+    n = np.arange(M)
+    u = np.empty((rf.size, 2), dtype=complex)
+    jac = np.empty((rf.size, 2, 2), dtype=complex) if with_gradient else None
+    for blk in _blocks(rf.size):
+        rb = rsafe[blk]
+        nt = np.outer(n, tp[blk])
+        cn, sn = np.cos(nt), np.sin(nt)
+        phr, pht, *ph2 = _potential_derivs(
+            sol.comp_coeffs, cfg.k_p, _j_table(M, cfg.k_p * rb),
+            cn, sn, -1.0, with_gradient)
+        psr, pst, *ps2 = _potential_derivs(
+            sol.shear_coeffs, cfg.k_s, _j_table(M, cfg.k_s * rb),
+            sn, cn, 1.0, with_gradient)
+        c, s = np.cos(tf[blk]), np.sin(tf[blk])
+        phx, phy = _cartesian_first(phr, pht, rb, c, s)
+        psx, psy = _cartesian_first(psr, pst, rb, c, s)
+        u[blk, 0] = phx + psy
+        u[blk, 1] = phy - psx
+        if with_gradient:
+            phxx, phxy, phyy = _cartesian_second(phr, pht, *ph2, rb, c, s)
+            psxx, psxy, psyy = _cartesian_second(psr, pst, *ps2, rb, c, s)
+            jac[blk, 0, 0] = phxx + psxy
+            jac[blk, 0, 1] = phxy + psyy
+            jac[blk, 1, 0] = phxy - psxx
+            jac[blk, 1, 1] = phyy - psxy
 
     if np.any(at_origin):
         u0, j0 = _origin_values(sol)
         Q = np.array([[np.cos(alpha), -np.sin(alpha)],
                       [np.sin(alpha), np.cos(alpha)]])
-        ug = Q @ u0
-        ux[at_origin] = ug[0]
-        uy[at_origin] = ug[1]
+        u[at_origin] = Q @ u0
         if with_gradient:
             jac[at_origin] = Q @ j0 @ Q.T
 
-    u = np.stack([ux, uy], axis=-1).reshape(shape + (2,))
+    u = u.reshape(shape + (2,))
     if not with_gradient:
         return u
     return u, jac.reshape(shape + (2, 2))

@@ -154,20 +154,22 @@ def _write_field_grid(path, sol, exact, n_radial):
                                ("fluid", cfg.R0 * 1.001,
                                 cfg.R * apothem * 0.999)):
         radii = r_lo + (r_hi - r_lo) * (np.arange(n_radial) + 0.5) / n_radial
-        for r in radii:
-            for th in thetas:
-                x, y = r * np.cos(th), r * np.sin(th)
-                if region == "solid":
-                    u = evaluate_field(sol, (x, y), "u")
-                    ue = analytic.eval_displacement(exact, r, th)
-                    vals = [abs(u[0]), abs(u[1]), np.nan,
-                            abs(ue[0]), abs(ue[1]), np.nan]
-                else:
-                    p = evaluate_field(sol, (x, y), "p")
-                    pe = analytic.eval_pressure(exact, r, th)
-                    vals = [np.nan, np.nan, abs(p), np.nan, np.nan, abs(pe)]
-                rows.append(f"{region},{x:.8g},{y:.8g}," +
-                            ",".join(f"{v:.8g}" for v in vals))
+        r, th = (a.ravel() for a in np.meshgrid(radii, thetas, indexing="ij"))
+        if region == "solid":
+            ue = analytic.eval_displacement(exact, r, th)
+        else:
+            pe = analytic.eval_pressure(exact, r, th)
+        for i in range(r.size):
+            x, y = r[i] * np.cos(th[i]), r[i] * np.sin(th[i])
+            if region == "solid":
+                u = evaluate_field(sol, (x, y), "u")
+                vals = [abs(u[0]), abs(u[1]), np.nan,
+                        abs(ue[i, 0]), abs(ue[i, 1]), np.nan]
+            else:
+                p = evaluate_field(sol, (x, y), "p")
+                vals = [np.nan, np.nan, abs(p), np.nan, np.nan, abs(pe[i])]
+            rows.append(f"{region},{x:.8g},{y:.8g}," +
+                        ",".join(f"{v:.8g}" for v in vals))
     with open(path, "w") as fh:
         fh.write("\n".join(rows) + "\n")
 
@@ -199,22 +201,24 @@ def cmd_truncation(args) -> int:
 def cmd_oracle(args) -> int:
     cfg = _study_config(args)
     k = cfg.k_values[0]
-    exact = analytic.solve_modes(cfg.physical(k), n_modes=cfg.modes)
     x, y = args.point
+    if not np.all(np.isfinite(args.point)):
+        raise ValueError("point coordinates must be finite")
+    exact = analytic.solve_modes(cfg.physical(k), n_modes=cfg.modes)
     r, th = float(np.hypot(x, y)), float(np.arctan2(y, x))
-    _print(f"oracle k={k:g} point=({x:g}, {y:g}) r={r:.6g}")
-    shown = False
+    values = {}
     if r >= cfg.R0 * (1 - 1e-12):
-        p = analytic.eval_pressure(exact, r, th)
-        _print(f"  p  = {p.real:+.12e} {p.imag:+.12e}j")
-        shown = True
+        values["p "] = analytic.eval_pressure(exact, r, th)
     if r <= cfg.R0 * (1 + 1e-12):
-        u = analytic.eval_displacement(exact, r, th)
-        _print(f"  ux = {u[0].real:+.12e} {u[0].imag:+.12e}j")
-        _print(f"  uy = {u[1].real:+.12e} {u[1].imag:+.12e}j")
-        shown = True
-    if not shown:
+        values["ux"], values["uy"] = analytic.eval_displacement(exact, r, th)
+    if not values:
         raise ValueError(f"point ({x:g}, {y:g}) lies in neither region")
+    if not np.all(np.isfinite([r, *values.values()])):
+        raise FloatingPointError(f"oracle value at ({x:g}, {y:g}) is not "
+                                 "finite")
+    _print(f"oracle k={k:g} point=({x:g}, {y:g}) r={r:.6g}")
+    for name, v in values.items():
+        _print(f"  {name} = {v.real:+.12e} {v.imag:+.12e}j")
     return 0
 
 
@@ -285,7 +289,7 @@ def main(argv=None) -> int:
         print(f"dtnfem: configuration error: {exc}", file=sys.stderr)
         return 1
     except (SingularSystemError, analytic.SingularModeError,
-            OverflowError) as exc:
+            ArithmeticError) as exc:
         print(f"dtnfem: numerical failure: {exc}", file=sys.stderr)
         return 2
 

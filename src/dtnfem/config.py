@@ -29,6 +29,9 @@ class PhysicalConfig:
     d: tuple = (1.0, 0.0)
 
     def __post_init__(self):
+        if len(self.d) != 2:
+            raise ValueError("incident direction d needs exactly two "
+                             "components")
         if not np.all(np.isfinite([self.lam, self.mu, self.rho, self.rho_f,
                                    self.omega, self.k, self.R0, self.R,
                                    *self.d])):

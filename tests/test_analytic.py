@@ -1,6 +1,7 @@
 import mpmath as mp
 import numpy as np
 import pytest
+from scipy import special as sp
 
 from dtnfem import PhysicalConfig, analytic, special
 
@@ -309,3 +310,146 @@ def test_trace_mode_coefficients_reconstruct(base_config, base_series):
     p_modes = np.exp(1j * np.outer(th, n)) @ coeffs
     p_direct = analytic.eval_pressure(base_series, base_config.R, th)
     assert np.max(np.abs(p_modes - p_direct)) < 1e-12
+
+
+# ------------------------------------- recurrence tables and mode-axis sums
+#
+# The oracle builds its Bessel/Hankel tables by recurrence and sums over the
+# mode axis.  The reference below is the path it replaced: scipy order tables
+# and a plain per-mode loop.
+
+SOFT_SOLID = PhysicalConfig(mu=0.05)     # k_s R0 = 4.47: oscillatory J_n
+
+
+def _reference_pressure(sol, r, th):
+    cfg, M = sol.config, sol.n_modes
+    tp = th - np.arctan2(cfg.d[1], cfg.d[0])
+    H = sp.hankel1(np.arange(M + 1)[:, None], cfg.k * r[None, :])
+    p = pr = pt = 0.0
+    for n, a in enumerate(sol.pressure_coeffs):
+        Hm1 = -H[1] if n == 0 else H[n - 1]
+        p = p + a * H[n] * np.cos(n * tp)
+        pr = pr + a * cfg.k * 0.5 * (Hm1 - H[n + 1]) * np.cos(n * tp)
+        pt = pt - a * n * H[n] * np.sin(n * tp)
+    return p, pr, pt
+
+
+def _reference_potential(coeffs, kappa, r, tp, trig):
+    J = sp.jv(np.arange(len(coeffs) + 2)[:, None], kappa * r[None, :])
+    fr = ft = frr = frt = ftt = 0.0
+    for n, c in enumerate(coeffs):
+        Jm1 = -J[1] if n == 0 else J[n - 1]
+        Jm2 = J[2] if n == 0 else (-J[1] if n == 1 else J[n - 2])
+        dJ = 0.5 * (Jm1 - J[n + 1])
+        ddJ = 0.25 * (Jm2 - 2.0 * J[n] + J[n + 2])
+        tg = trig(n * tp)
+        dtg = -n * np.sin(n * tp) if trig is np.cos else n * np.cos(n * tp)
+        fr = fr + c * kappa * dJ * tg
+        ft = ft + c * J[n] * dtg
+        frr = frr + c * kappa ** 2 * ddJ * tg
+        frt = frt + c * kappa * dJ * dtg
+        ftt = ftt - c * n ** 2 * J[n] * tg
+    return fr, ft, frr, frt, ftt
+
+
+def _reference_displacement(sol, r, th):
+    cfg = sol.config
+    tp = th - np.arctan2(cfg.d[1], cfg.d[0])
+    ph = _reference_potential(sol.comp_coeffs, cfg.k_p, r, tp, np.cos)
+    ps = _reference_potential(sol.shear_coeffs, cfg.k_s, r, tp, np.sin)
+    c, s = np.cos(th), np.sin(th)
+    phx, phy = analytic._cartesian_first(ph[0], ph[1], r, c, s)
+    psx, psy = analytic._cartesian_first(ps[0], ps[1], r, c, s)
+    phxx, phxy, phyy = analytic._cartesian_second(*ph, r, c, s)
+    psxx, psxy, psyy = analytic._cartesian_second(*ps, r, c, s)
+    u = np.stack([phx + psy, phy - psx], axis=-1)
+    jac = np.stack([np.stack([phxx + psxy, phxy + psyy], axis=-1),
+                    np.stack([phxy - psxx, phyy - psxy], axis=-1)], axis=-2)
+    return u, jac
+
+
+def _relative_to_max(got, ref):
+    return np.max(np.abs(got - ref)) / np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("M", [30, 40])
+def test_hankel_recurrence_matches_order_table(M):
+    x = np.linspace(1.0, 8.0, 701)   # k r for k in {1, 2, 4}, r in [R0, R]
+    ref = sp.hankel1(np.arange(M + 1)[:, None], x[None, :])
+    np.testing.assert_allclose(analytic._h_table(M, x), ref, rtol=1e-12,
+                               atol=0.0)
+
+
+@pytest.mark.parametrize("M", [30, 40])
+def test_bessel_recurrence_matches_order_table(M):
+    orders = np.arange(M + 2)[:, None]
+    # per entry where no J_n has a zero (x < 2.40, the first zero of J_0) ...
+    x = np.concatenate([np.geomspace(1e-12, 1e-3, 50),
+                        np.linspace(1e-3, 2.4, 500)])
+    np.testing.assert_allclose(analytic._j_table(M, x),
+                               sp.jv(orders, x[None, :]), rtol=1e-12, atol=0.0)
+    # ... and relative to the column's largest entry across the zeros of the
+    # soft solid's shear argument, where no path has per-entry accuracy
+    x = np.linspace(2.4, SOFT_SOLID.k_s * SOFT_SOLID.R0, 300)
+    ref = sp.jv(orders, x[None, :])
+    err = np.abs(analytic._j_table(M, x) - ref) / np.abs(ref).max(axis=0)
+    assert err.max() <= 1e-12
+
+
+def test_bessel_recurrence_underflow_fallback():
+    M = 40
+    # seeds J_M(x) below 1e-250 take the order table: exactly scipy's values
+    x = np.array([0.0, 1e-9, 1e-7])
+    np.testing.assert_array_equal(
+        analytic._j_table(M, x),
+        sp.jv(np.arange(M + 2)[:, None], x[None, :]))
+
+
+@pytest.mark.parametrize("cfg", [PhysicalConfig(k=1.0), PhysicalConfig(k=2.0),
+                                 PhysicalConfig(k=4.0), SOFT_SOLID],
+                         ids=["k1", "k2", "k4", "soft_solid"])
+def test_fast_oracle_matches_per_mode_reference(cfg):
+    sol = analytic.solve_modes(cfg, n_modes=40)
+    rng = np.random.default_rng(11)
+    # more points than one evaluation block, so the block seams are covered
+    th = rng.uniform(0.0, 2 * np.pi, 5000)
+    r = np.sqrt(rng.uniform(1.0, 4.0, th.size))
+    p, (pr, pt) = analytic.eval_pressure(sol, r, th, with_gradient=True)
+    for got, ref in zip((p, pr, pt), _reference_pressure(sol, r, th)):
+        assert _relative_to_max(got, ref) <= 1e-12
+
+    # the Cartesian Jacobian loses eps/r near the origin in either path
+    r = np.sqrt(rng.uniform(0.01, 1.0, th.size))
+    u, jac = analytic.eval_displacement(sol, r, th, with_gradient=True)
+    u_ref, jac_ref = _reference_displacement(sol, r, th)
+    assert _relative_to_max(u, u_ref) <= 1e-12
+    assert _relative_to_max(jac, jac_ref) <= 1e-12
+
+
+def test_fast_displacement_near_and_at_origin(base_series):
+    r = np.array([0.0, 1e-9, 1e-6, 0.5])
+    th = np.array([0.3, 0.4, 1.9, 2.2])
+    u = analytic.eval_displacement(base_series, r, th)
+    u_ref, _ = _reference_displacement(base_series, r[1:], th[1:])
+    assert _relative_to_max(u[1:], u_ref) <= 1e-12
+    u0 = analytic.eval_displacement(base_series, 0.0, 0.3)
+    assert np.all(np.isfinite(u0))
+    assert np.array_equal(u[0], u0)
+
+
+@pytest.mark.parametrize("cfg", [PhysicalConfig(k=1.0), PhysicalConfig(k=4.0),
+                                 SOFT_SOLID], ids=["k1", "k4", "soft_solid"])
+def test_scalar_oracle_calls_equal_one_batched_call(cfg):
+    sol = analytic.solve_modes(cfg)
+    rng = np.random.default_rng(3)
+    th = rng.uniform(0.0, 2 * np.pi, 25)
+    r_s = np.sqrt(rng.uniform(0.0, 1.0, th.size))
+    r_f = np.sqrt(rng.uniform(1.0, 4.0, th.size))
+    u = analytic.eval_displacement(sol, r_s, th)
+    p = analytic.eval_pressure(sol, r_f, th)
+    u_one = np.array([analytic.eval_displacement(sol, a, b)
+                      for a, b in zip(r_s, th)])
+    p_one = np.array([analytic.eval_pressure(sol, a, b)
+                      for a, b in zip(r_f, th)])
+    assert _relative_to_max(u_one, u) <= 1e-12
+    assert _relative_to_max(p_one, p) <= 1e-12

@@ -138,3 +138,26 @@ def test_overflow_is_a_numerical_failure(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert "numerical failure" in err
     assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("d", ["1", ",", "1,0,5"])
+def test_incident_direction_needs_two_components(d, capsys):
+    assert run(["oracle", f"--d={d}", "--point", "1.5", "0"]) == 1
+    err = capsys.readouterr().err
+    assert "configuration error" in err
+    assert "Traceback" not in err
+
+
+def test_underflowing_radius_is_a_numerical_failure(capsys):
+    assert run(["oracle", "--R0", "1e-300", "--point", "1.5", "0"]) == 2
+    err = capsys.readouterr().err
+    assert "numerical failure" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("point", [("1e300", "0"), ("1e308", "1e308")])
+def test_non_finite_oracle_value_is_a_numerical_failure(point, capsys):
+    assert run(["oracle", "--point", *point]) == 2
+    captured = capsys.readouterr()
+    assert "numerical failure" in captured.err
+    assert "nan" not in captured.out and "inf" not in captured.out

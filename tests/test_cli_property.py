@@ -1,0 +1,74 @@
+"""Property test of the CLI exit-code contract on the ``oracle`` subcommand.
+
+For any argument vector: the exit code is 0, 1 or 2, stderr holds no
+traceback, and a success prints only finite numbers.
+"""
+
+import contextlib
+import io
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from dtnfem import cli
+
+_FLOAT_FLAGS = ("--k", "--R0", "--R", "--mu", "--lam", "--rho", "--rho-f",
+                "--omega")
+
+# any float (nan, +-inf and subnormals included), ordinary sizes, and
+# extremes whose squares or products under- or overflow
+_EXTREMES = [5e-324, 1e-300, 1e-160, 1e-9, 1e16, 1e160, 1e300,
+             1.7976931348623157e308]
+_values = st.one_of(st.floats(), st.floats(min_value=0.05, max_value=20.0),
+                    st.sampled_from(_EXTREMES + [-v for v in _EXTREMES]))
+
+
+def _text(v: float) -> str:
+    # positional digits, so that argparse reads a negative value as a number
+    return np.format_float_positional(v, trim="-")
+
+
+@st.composite
+def oracle_argv(draw):
+    argv = ["oracle"]
+    flags = st.lists(st.sampled_from(_FLOAT_FLAGS), unique=True, max_size=4)
+    for flag in draw(flags):
+        argv.append(f"{flag}={_text(draw(_values))}")
+    if draw(st.booleans()):
+        argv.append(f"--modes={draw(st.integers(-5, 10 ** 6))}")
+    if draw(st.booleans()):
+        d = draw(st.lists(_values, max_size=3))
+        argv.append("--d=" + ",".join(_text(v) for v in d))
+    point = draw(st.tuples(_values, _values))
+    argv += ["--point", *(_text(v) for v in point)]
+    return argv
+
+
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:   # argparse rejects the flags
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _printed_numbers(stdout):
+    for line in stdout.splitlines():
+        name, _, rest = line.partition("=")
+        if name.strip() in ("p", "ux", "uy"):
+            yield from (float(v.rstrip("j")) for v in rest.split())
+        elif line.startswith("oracle "):
+            yield float(line.rsplit("r=", 1)[1])
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(oracle_argv())
+def test_oracle_exit_code_contract(argv):
+    code, out, err = _run(argv)
+    assert code in (0, 1, 2), (argv, code, err)
+    assert "Traceback" not in err
+    if code == 0:
+        numbers = list(_printed_numbers(out))
+        assert numbers and np.all(np.isfinite(numbers)), (argv, out)
