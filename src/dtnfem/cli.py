@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 configuration error, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from dataclasses import fields
 
@@ -39,7 +40,14 @@ _CONFIG_KEYS = {
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse exits 2 on bad flags; the interface contract wants 1."""
+    """argparse exits 2 on bad flags; the interface contract wants 1.  A
+    negative number in exponent notation, such as -1e-5, is a value: the
+    stock pattern takes it for an option.  Subparsers inherit both."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?$")
 
     def error(self, message):
         self.print_usage(sys.stderr)

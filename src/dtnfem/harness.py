@@ -20,7 +20,8 @@ from . import analytic
 from . import dtn as dtn_ops
 from .assembly import _p1_geometry, assemble_blocks, assemble_system
 from .config import PhysicalConfig
-from .mesh import Mesh, build_annulus_mesh, build_disc_mesh, mesh_size, refine
+from .mesh import (Mesh, _coarse_pair_triangles, build_annulus_mesh,
+                   build_disc_mesh, mesh_size, refine)
 from .solve import FieldSolution, solve
 
 __all__ = [
@@ -32,6 +33,10 @@ __all__ = [
 ]
 
 CSV_HEADER = "h,N,k,dofs,err_h0,err_h1,seconds"
+
+MAX_LEVEL = 7
+# the default pair (R0=1, R=2, n_angular=16) at MAX_LEVEL: 176 * 4**7
+MAX_TRIANGLES = _coarse_pair_triangles(1.0, 2.0, 16) * 4 ** MAX_LEVEL
 
 _SQRT15 = np.sqrt(15.0)
 _B1 = (6.0 + _SQRT15) / 21.0
@@ -172,8 +177,9 @@ class StudyConfig:
     def __post_init__(self):
         if not self.levels or not self.k_values or not self.n_values:
             raise ValueError("sweep lists must be non-empty")
-        if max(self.levels) > 7:
-            raise ValueError("refinement count capped at 7 (desk-scale guard)")
+        if max(self.levels) > MAX_LEVEL:
+            raise ValueError(f"refinement count capped at {MAX_LEVEL} "
+                             "(desk-scale guard)")
         if min(self.levels) < 0:
             raise ValueError("refinement levels must be >= 0")
 
@@ -185,7 +191,16 @@ class StudyConfig:
 
 
 def build_mesh_pair(R0: float, R: float, n_angular: int, level: int):
-    """Coarse disc/annulus pair refined ``level`` times."""
+    """Coarse disc/annulus pair refined ``level`` times.  A level outside
+    [0, MAX_LEVEL], or a pair predicted to hold more than MAX_TRIANGLES
+    triangles, is refused before any array is allocated."""
+    if not 0 <= level <= MAX_LEVEL:
+        raise ValueError(f"refinement level must be in [0, {MAX_LEVEL}], "
+                         f"got {level}")
+    triangles = _coarse_pair_triangles(R0, R, n_angular) * 4 ** level
+    if triangles > MAX_TRIANGLES:
+        raise ValueError(f"mesh pair of {triangles} triangles exceeds the "
+                         f"cap of {MAX_TRIANGLES}")
     disc = build_disc_mesh(R0, n_angular)
     annulus = build_annulus_mesh(R0, R, n_angular)
     for _ in range(level):

@@ -125,18 +125,39 @@ def _check_angular(n_angular: int):
             f"n_angular must be an even integer >= {MIN_ANGULAR}, got {n_angular}")
 
 
+def _disc_rings(R0: float, n_angular: int) -> int:
+    _check_angular(n_angular)
+    if R0 <= 0.0:
+        raise ValueError("R0 must be positive")
+    # 1.1 biases the rounding so the ring count tracks doubling of n_angular
+    # (plain round(n/2pi) sticks at 5 rings across the 32->64 step)
+    return max(1, round(1.1 * n_angular / (2.0 * np.pi)))
+
+
+def _annulus_layers(R0: float, R: float, n_angular: int) -> int:
+    _check_angular(n_angular)
+    if not (np.isfinite(R) and R > R0 > 0.0):
+        raise ValueError("annulus requires a finite R > R0 > 0")
+    # radial step keyed to the interface chord, where the field varies fastest;
+    # also keeps the refined h ladder close to clean halving
+    inner_chord = 2.0 * R0 * np.sin(np.pi / n_angular)
+    return max(1, round((R - R0) / inner_chord))
+
+
+def _coarse_pair_triangles(R0: float, R: float, n_angular: int) -> int:
+    """Triangle count of the unrefined disc/annulus pair, without building
+    it: a centre fan plus two triangles per cell of every band."""
+    return n_angular * (2 * _disc_rings(R0, n_angular) - 1
+                        + 2 * _annulus_layers(R0, R, n_angular))
+
+
 def build_disc_mesh(R0: float, n_angular: int) -> Mesh:
     """Polar mesh of the disc r <= R0: rings x sectors plus a center fan.
 
     The ring count keeps radial steps comparable to the outer angular chord
     (near-uniform aspect away from the center).
     """
-    _check_angular(n_angular)
-    if R0 <= 0.0:
-        raise ValueError("R0 must be positive")
-    # 1.1 biases the rounding so the ring count tracks doubling of n_angular
-    # (plain round(n/2pi) sticks at 5 rings across the 32->64 step)
-    n_rings = max(1, round(1.1 * n_angular / (2.0 * np.pi)))
+    n_rings = _disc_rings(R0, n_angular)
 
     nodes = [np.zeros((1, 2))]
     for j in range(1, n_rings + 1):
@@ -166,13 +187,7 @@ def build_annulus_mesh(R0: float, R: float, n_angular: int) -> Mesh:
     Ring angles match ``build_disc_mesh`` exactly, so the GAMMA trace nodes of
     a disc/annulus pair built with the same n_angular coincide bitwise.
     """
-    _check_angular(n_angular)
-    if not (R > R0 > 0.0):
-        raise ValueError("annulus requires R > R0 > 0")
-    # radial step keyed to the interface chord, where the field varies fastest;
-    # also keeps the refined h ladder close to clean halving
-    inner_chord = 2.0 * R0 * np.sin(np.pi / n_angular)
-    n_layers = max(1, round((R - R0) / inner_chord))
+    n_layers = _annulus_layers(R0, R, n_angular)
 
     radii = R0 + (R - R0) * np.arange(n_layers + 1) / n_layers
     nodes = np.vstack([_ring_coords(r, n_angular) for r in radii])

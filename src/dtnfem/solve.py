@@ -9,7 +9,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .assembly import FemSystem
+from .assembly import FemSystem, _p1_geometry
 from .config import PhysicalConfig
 from .mesh import Mesh
 
@@ -17,6 +17,7 @@ __all__ = ["FieldSolution", "SingularSystemError", "solve", "solve_linear",
            "evaluate_field"]
 
 RESIDUAL_TOL = 1e-10
+LOCATE_TOL = 1e-10   # smallest barycentric that still counts as inside
 
 
 class SingularSystemError(RuntimeError):
@@ -84,49 +85,34 @@ def solve(system: FemSystem) -> FieldSolution:
 
 
 class _Locator:
-    """Point location by neighbor walking with exhaustive fallback."""
+    """Point location by one vectorised barycentric test of every triangle,
+    from each triangle's origin node and the constant gradients of lambda_1
+    and lambda_2 (``assembly._p1_geometry``)."""
 
     def __init__(self, mesh: Mesh):
         self.mesh = mesh
-        edge_owner = {}
-        self.neighbors = np.full((mesh.num_triangles, 3), -1, dtype=np.int64)
-        for t, tri in enumerate(mesh.triangles):
-            for a in range(3):
-                key = tuple(sorted((tri[(a + 1) % 3], tri[(a + 2) % 3])))
-                other = edge_owner.pop(key, None)
-                if other is None:
-                    edge_owner[key] = (t, a)
-                else:
-                    ot, oa = other
-                    self.neighbors[t, a] = ot
-                    self.neighbors[ot, oa] = t
-        self.last = 0
+        g, _ = _p1_geometry(mesh)
+        x0 = mesh.nodes[mesh.triangles[:, 0]]
+        self._x0, self._y0 = x0[:, 0].copy(), x0[:, 1].copy()
+        self._g1x, self._g1y = g[:, 1, 0].copy(), g[:, 1, 1].copy()
+        self._g2x, self._g2y = g[:, 2, 0].copy(), g[:, 2, 1].copy()
 
-    def barycentric(self, t: int, point) -> np.ndarray:
-        p = self.mesh.nodes[self.mesh.triangles[t]]
-        T = np.column_stack([p[1] - p[0], p[2] - p[0]])
-        lam = np.linalg.solve(T, np.asarray(point, float) - p[0])
-        return np.array([1.0 - lam[0] - lam[1], lam[0], lam[1]])
-
-    def locate(self, point, tol: float = 1e-10):
-        t = self.last
-        for _ in range(2 * self.mesh.num_triangles):
-            lam = self.barycentric(t, point)
-            worst = int(np.argmin(lam))
-            if lam[worst] >= -tol:
-                self.last = t
-                return t, np.clip(lam, 0.0, None) / np.sum(np.clip(lam, 0.0, None))
-            nxt = self.neighbors[t, worst]
-            if nxt < 0:
-                break
-            t = nxt
-        # annulus walks can hit the hole; scan everything before giving up
-        for t in range(self.mesh.num_triangles):
-            lam = self.barycentric(t, point)
-            if np.min(lam) >= -tol:
-                self.last = t
-                return t, np.clip(lam, 0.0, None) / np.sum(np.clip(lam, 0.0, None))
-        raise ValueError(f"point {tuple(point)} lies outside the mesh")
+    def locate(self, point):
+        """Lowest-index triangle holding the point, and its barycentrics."""
+        x, y = (float(c) for c in point)
+        if not (np.isfinite(x) and np.isfinite(y)):
+            raise ValueError(f"point {tuple(point)} is not finite")
+        dx, dy = x - self._x0, y - self._y0
+        lam1 = self._g1x * dx + self._g1y * dy
+        lam2 = self._g2x * dx + self._g2y * dy
+        lam0 = 1.0 - lam1 - lam2
+        inside = ((lam0 >= -LOCATE_TOL) & (lam1 >= -LOCATE_TOL)
+                  & (lam2 >= -LOCATE_TOL))
+        t = int(np.argmax(inside))
+        if not inside[t]:
+            raise ValueError(f"point {tuple(point)} lies outside the mesh")
+        lam = np.clip([lam0[t], lam1[t], lam2[t]], 0.0, None)
+        return t, lam / np.sum(lam)
 
 
 def evaluate_field(sol: FieldSolution, point, which: str):

@@ -161,3 +161,27 @@ def test_non_finite_oracle_value_is_a_numerical_failure(point, capsys):
     captured = capsys.readouterr()
     assert "numerical failure" in captured.err
     assert "nan" not in captured.out and "inf" not in captured.out
+
+
+@pytest.mark.parametrize("point,shown", [
+    (("-1e-5", "0.5"), "point=(-1e-05, 0.5)"),
+    (("0.5", "-1E-5"), "point=(0.5, -1e-05)"),
+    (("-1.5e0", "-0"), "point=(-1.5, -0)"),
+])
+def test_negative_exponent_notation_is_a_value(point, shown, capsys):
+    assert run(["oracle", "--point", *point]) == 0
+    assert shown in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--level", "-1"], ["solve", "--level", "8"],
+    ["mesh-dump", "--refine", "-3"], ["mesh-dump", "--refine", "30"],
+    ["mesh-dump", "--R0", "1e-9"], ["mesh-dump", "--R", "inf"]])
+def test_mesh_beyond_the_cap_is_a_configuration_error(argv, tmp_path,
+                                                      capsys):
+    out = tmp_path / "out.txt"
+    assert run([*argv, "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "configuration error" in err
+    assert "Traceback" not in err
+    assert not out.exists()

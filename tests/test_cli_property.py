@@ -1,11 +1,16 @@
-"""Property test of the CLI exit-code contract on the ``oracle`` subcommand.
+"""Property tests of the CLI exit-code contract on the ``oracle``,
+``solve`` and ``mesh-dump`` subcommands.
 
-For any argument vector: the exit code is 0, 1 or 2, stderr holds no
-traceback, and a success prints only finite numbers.
+For any argument vector: the exit code is 0, 1 or 2 and stderr holds no
+traceback.  A successful ``oracle`` prints only finite numbers; a successful
+``solve`` or ``mesh-dump`` ran a refinement level of 0 or 1, the only
+accepted ones among the drawn levels, so every example stays cheap.
 """
 
 import contextlib
 import io
+import os
+import tempfile
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -14,6 +19,7 @@ from dtnfem import cli
 
 _FLOAT_FLAGS = ("--k", "--R0", "--R", "--mu", "--lam", "--rho", "--rho-f",
                 "--omega")
+_PHYSICS_FLAGS = tuple(f for f in _FLOAT_FLAGS if f not in ("--R0", "--R"))
 
 # any float (nan, +-inf and subnormals included), ordinary sizes, and
 # extremes whose squares or products under- or overflow
@@ -44,6 +50,46 @@ def oracle_argv(draw):
     return argv
 
 
+# refinement levels around the accepted range [0, 7]; radii and angular
+# counts that either give a small coarse pair or are refused before any
+# mesh is built
+_LEVELS = [-1, 0, 1, 8, 10 ** 6]
+_radii = st.one_of(st.sampled_from([0.5, 3.0]),
+                   st.sampled_from(_EXTREMES + [-v for v in _EXTREMES]
+                                   + [0.0, np.nan, np.inf, -np.inf]))
+_N_ANGULAR = [-16, 0, 7, 8, 16, 10 ** 6]
+
+
+@st.composite
+def mesh_flags(draw, level_flag):
+    level = draw(st.sampled_from(_LEVELS))
+    argv = [f"{level_flag}={level}"]
+    for flag in draw(st.lists(st.sampled_from(("--R0", "--R")), unique=True)):
+        argv.append(f"{flag}={_text(draw(_radii))}")
+    if draw(st.booleans()):
+        argv.append(f"--n-angular={draw(st.sampled_from(_N_ANGULAR))}")
+    flags = st.lists(st.sampled_from(_PHYSICS_FLAGS), unique=True, max_size=2)
+    for flag in draw(flags):
+        argv.append(f"{flag}={_text(draw(_values))}")
+    return level, argv
+
+
+@st.composite
+def solve_argv(draw):
+    level, argv = draw(mesh_flags("--level"))
+    for flag in ("--order", "--modes"):
+        if draw(st.booleans()):
+            argv.append(f"{flag}={draw(st.integers(-5, 10 ** 6))}")
+    return level, ["solve", *argv]
+
+
+@st.composite
+def mesh_dump_argv(draw):
+    level, argv = draw(mesh_flags("--refine"))
+    region = draw(st.sampled_from(("disc", "annulus")))
+    return level, ["mesh-dump", f"--region={region}", *argv]
+
+
 def _run(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -72,3 +118,27 @@ def test_oracle_exit_code_contract(argv):
     if code == 0:
         numbers = list(_printed_numbers(out))
         assert numbers and np.all(np.isfinite(numbers)), (argv, out)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(solve_argv())
+def test_solve_exit_code_contract(case):
+    level, argv = case
+    code, out, err = _run(argv)
+    assert code in (0, 1, 2), (argv, code, err)
+    assert "Traceback" not in err
+    if code == 0:
+        assert level in (0, 1) and "err_h0=" in out, (argv, out)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(mesh_dump_argv())
+def test_mesh_dump_exit_code_contract(case):
+    level, argv = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "mesh.txt")
+        code, out, err = _run([*argv, f"--output={path}"])
+        assert code in (0, 1, 2), (argv, code, err)
+        assert "Traceback" not in err
+        if code == 0:
+            assert level in (0, 1) and os.path.exists(path), (argv, out)

@@ -4,6 +4,7 @@ from numpy.polynomial.legendre import leggauss
 
 import dtnfem
 from dtnfem import PhysicalConfig, StudyConfig, analytic, harness
+from dtnfem.mesh import _coarse_pair_triangles
 from dtnfem.solve import FieldSolution
 
 REFERENCE_H = (0.4304, 0.2151, 0.1076)
@@ -274,3 +275,25 @@ def test_csv_deterministic_modulo_seconds(tmp_path):
         return out
 
     assert strip_seconds(paths[0]) == strip_seconds(paths[1])
+
+
+@pytest.mark.parametrize("R0,R,n_angular", [
+    (1.0, 2.0, 16), (1.0, 2.0, 8), (0.5, 3.0, 16), (1.0, 3.0, 64),
+    (2.0, 2.5, 32)])
+def test_predicted_triangle_count_is_the_built_count(R0, R, n_angular):
+    disc, ann = harness.build_mesh_pair(R0, R, n_angular, 1)
+    assert 4 * _coarse_pair_triangles(R0, R, n_angular) \
+        == disc.num_triangles + ann.num_triangles
+
+
+def test_mesh_pair_cap_is_the_default_pair_at_level_seven():
+    assert harness.MAX_LEVEL == 7
+    assert harness.MAX_TRIANGLES == 176 * 4 ** 7 == 2_883_584
+
+
+@pytest.mark.parametrize("R0,R,n_angular,level", [
+    (1.0, 2.0, 16, -1), (1.0, 2.0, 16, 8), (1.0, 2.0, 16, 10 ** 6),
+    (1e-9, 2.0, 16, 0), (1.0, 2.0, 10 ** 6, 0), (1.0, 2.0, 18, 7)])
+def test_mesh_pair_beyond_the_cap_is_refused(R0, R, n_angular, level):
+    with pytest.raises(ValueError):
+        harness.build_mesh_pair(R0, R, n_angular, level)

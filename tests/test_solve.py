@@ -10,6 +10,8 @@ from dtnfem import mesh as M
 from dtnfem.solve import (FieldSolution, SingularSystemError, evaluate_field,
                           solve, solve_linear)
 
+R0, R, N_ANGULAR = 1.0, 2.0, 16
+
 
 @pytest.fixture(scope="module")
 def system16():
@@ -113,8 +115,8 @@ def test_evaluate_centroid_is_mean(solution16):
 
 
 def test_evaluate_across_the_hole(solution16):
-    # walking from the 0-angle side can hit the annulus hole; the exhaustive
-    # fallback must still find the triangle on the far side
+    # the far side of the annulus hole from the 0-angle side: every triangle
+    # is tested at once, so no path can get stuck at the hole
     val = evaluate_field(solution16, (-1.5, 0.0), "p")
     assert np.isfinite(val)
 
@@ -141,3 +143,124 @@ def test_locators_die_with_the_solution():
     del disc, ann, sol
     gc.collect()
     assert mesh_ref() is None
+
+
+# ------------------------------------- locator against a brute-force reference
+
+def _reference_barycentric(mesh, t, points):
+    """Barycentrics (3, n) of n points in triangle t by a 2x2 solve."""
+    p = mesh.nodes[mesh.triangles[t]]
+    T = np.column_stack([p[1] - p[0], p[2] - p[0]])
+    lam = np.linalg.solve(T, (np.asarray(points, float) - p[0]).T)
+    return np.vstack([1.0 - lam[0] - lam[1], lam[0], lam[1]])
+
+
+def _reference_locate(mesh, points):
+    """Per point, the lowest-index triangle whose barycentrics are all
+    >= -1e-10 (-1 if none) and those barycentrics, by a 2x2 solve per
+    triangle.  Each triangle is solved only for the points inside its
+    bounding box padded by 1e-8, which holds every point it can accept."""
+    points = np.asarray(points, float)
+    order = np.argsort(points[:, 0])
+    xs = points[order, 0]
+    found = np.full(len(points), -1)
+    lams = np.zeros((len(points), 3))
+    for t, tri in enumerate(mesh.triangles):
+        p = mesh.nodes[tri]
+        lo, hi = p.min(axis=0) - 1e-8, p.max(axis=0) + 1e-8
+        near = order[np.searchsorted(xs, lo[0]):
+                     np.searchsorted(xs, hi[0], side="right")]
+        y = points[near, 1]
+        near = near[(found[near] < 0) & (y >= lo[1]) & (y <= hi[1])]
+        if near.size:
+            lam = _reference_barycentric(mesh, t, points[near])
+            hit = lam.min(axis=0) >= -1e-10
+            found[near[hit]] = t
+            lams[near[hit]] = lam[:, hit].T
+    return found, lams
+
+
+def _area_uniform(rng, n, r_lo, r_hi):
+    """Latin hypercube in (r^2, theta), as the field_probe benchmark draws."""
+    u = (np.arange(n) + rng.uniform(size=n)) / n
+    v = (rng.permutation(n) + rng.uniform(size=n)) / n
+    r = np.sqrt(r_lo ** 2 + u * (r_hi ** 2 - r_lo ** 2))
+    return np.column_stack([r * np.cos(2 * np.pi * v),
+                            r * np.sin(2 * np.pi * v)])
+
+
+def _edge_midpoints(mesh):
+    edges = np.sort(mesh.triangles[:, [[1, 2], [2, 0], [0, 1]]].reshape(-1, 2),
+                    axis=1)
+    edges = np.unique(edges, axis=0)
+    return mesh.nodes[edges].mean(axis=1)
+
+
+def _random_solution(disc, ann, seed):
+    rng = np.random.default_rng(seed)
+    u = rng.normal(size=(disc.num_nodes, 2)) \
+        + 1j * rng.normal(size=(disc.num_nodes, 2))
+    p = rng.normal(size=ann.num_nodes) + 1j * rng.normal(size=ann.num_nodes)
+    return FieldSolution(u_nodal=u, p_nodal=p, config=PhysicalConfig(),
+                         disc_mesh=disc, annulus_mesh=ann, residual=0.0)
+
+
+@pytest.mark.parametrize("level", [1, 2, 3])
+def test_locator_matches_brute_force_reference(mesh_pairs, level):
+    disc, ann = mesh_pairs[level]
+    sol = _random_solution(disc, ann, level)
+    rng = np.random.default_rng(10 + level)
+    apothem = np.cos(np.pi / N_ANGULAR) * 0.999
+    # a line through the centre, crossing the hole: only its annulus part
+    line = np.linspace(-R * apothem, R * apothem, 401)
+    across = np.column_stack([line, 0.3 * line]) / np.hypot(1.0, 0.3)
+    across = across[np.hypot(*across.T) >= R0 * 1.001]
+    for mesh, which, values, locator, pattern in (
+            (disc, "u", sol.u_nodal, sol._disc_locator,
+             _area_uniform(rng, 100, 0.0, R0 * apothem)),
+            (ann, "p", sol.p_nodal, sol._annulus_locator,
+             np.vstack([_area_uniform(rng, 100, R0 * 1.001, R * apothem),
+                        across]))):
+        scale = np.max(np.abs(values))
+        points = np.vstack([pattern, mesh.nodes, _edge_midpoints(mesh)])
+        want_t, want_lam = _reference_locate(mesh, points)
+        assert np.all(want_t >= 0)
+        interior = want_lam.min(axis=1) > 1e-9
+        assert np.count_nonzero(interior[:len(pattern)]) >= len(pattern) - 2
+        want_lam = np.clip(want_lam, 0.0, None)
+        want_lam /= want_lam.sum(axis=1, keepdims=True)
+        for i, point in enumerate(points):
+            t, lam = locator.locate(point)
+            # also at nodes and edge midpoints, where several triangles
+            # qualify: no barycentric here is near the 1e-10 threshold, so
+            # both pick the same lowest index
+            assert t == want_t[i], (which, point)
+            got = lam @ values[mesh.triangles[t]]
+            want = want_lam[i] @ values[mesh.triangles[want_t[i]]]
+            assert np.max(np.abs(got - want)) <= 1e-13 * scale, (which, point)
+            if i < len(pattern):
+                assert np.allclose(evaluate_field(sol, point, which), got,
+                                   rtol=0.0, atol=1e-15 * scale)
+
+
+@pytest.mark.parametrize("level", [1, 2, 3])
+def test_locator_refuses_points_off_the_mesh(mesh_pairs, level):
+    disc, ann = mesh_pairs[level]
+    sol = _random_solution(disc, ann, level)
+    apothem = np.cos(np.pi / N_ANGULAR)
+    theta = np.linspace(0.0, 2 * np.pi, 24, endpoint=False)
+    ring = np.column_stack([np.cos(theta), np.sin(theta)])
+    in_hole = np.vstack([[0.0, 0.0], 0.5 * ring, R0 * apothem * 0.999 * ring])
+    beyond = np.vstack([R * 1.0001 * ring, 10 * ring, [[1e300, 0.0]]])
+    non_finite = [(np.nan, 0.0), (0.5, np.nan), (np.inf, 0.0),
+                  (-np.inf, 0.5), (0.2, np.inf)]
+    for mesh, which, off_mesh in ((disc, "u",
+                                   np.vstack([R0 * 1.0001 * ring, beyond])),
+                                  (ann, "p", np.vstack([in_hole, beyond]))):
+        assert np.all(_reference_locate(mesh, off_mesh)[0] == -1)
+        for point in off_mesh:
+            with pytest.raises(ValueError):
+                evaluate_field(sol, point, which)
+        for point in non_finite:
+            with pytest.raises(ValueError):
+                evaluate_field(sol, point, which)
