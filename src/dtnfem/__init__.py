@@ -7,14 +7,14 @@ from .mesh import (ANNULUS, DISC, GAMMA, GAMMA_R, BoundaryTrace, Mesh,
                    boundary_trace, build_annulus_mesh, build_disc_mesh,
                    load_mesh, mesh_size, refine, save_mesh)
 from .dtn import (DtnOperator, apply_modal_dtn, assemble_dtn_matrix,
-                  build_dtn_operator, fourier_moment, trace_moments,
-                  truncation_decay_check)
+                  build_dtn_operator, dtn_factor, fourier_moment,
+                  trace_moments, truncation_decay_check)
 from .assembly import (DofMap, FemSystem, SystemBlocks, assemble_blocks,
                        assemble_coupling, assemble_elastic,
                        assemble_helmholtz, assemble_load, assemble_system,
                        dump_system)
-from .solve import (FieldSolution, SingularSystemError, evaluate_field, solve,
-                    solve_linear)
+from .solve import (FieldSolution, LowRankSweep, SingularSystemError,
+                    evaluate_field, solve, solve_linear)
 from .analytic import (SeriesSolution, SingularModeError, eval_displacement,
                        eval_pressure, modal_system, solve_modes,
                        trace_mode_coefficients)

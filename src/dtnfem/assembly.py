@@ -9,7 +9,9 @@ Blocks of the variational problem, in the unknown ordering
 A1: elasticity form (lam div.div + 2 mu eps:eps - rho omega^2 mass) on the disc;
 A2: Helmholtz form (stiffness - k^2 mass) on the annulus; C3/C4: interface
 couplings through the outward normal of the solid; B: the truncated
-absorbing-boundary matrix subtracted into the pressure-pressure block.
+absorbing-boundary matrix subtracted into the pressure-pressure block.  The
+N-independent matrix A0 = [[A1, C4], [C3, A2]] is assembled once; each order
+N subtracts its B = U diag(d) U^T at fixed slots of A0's pattern.
 Volume element integrals are exact for P1; boundary loads use 4-point Gauss
 per edge.
 """
@@ -208,12 +210,15 @@ def assemble_load(disc_mesh: Mesh, annulus_mesh: Mesh, config: PhysicalConfig,
 
 @dataclass(frozen=True)
 class SystemBlocks:
-    """N-independent pieces of the system, reusable across truncation orders."""
+    """N-independent pieces of the system, reusable across truncation orders.
 
-    elastic: sp.csr_matrix
-    helmholtz: sp.csr_matrix
-    coupling_pu: sp.csr_matrix   # C3
-    coupling_up: sp.csr_matrix   # C4
+    ``matrix0`` is A0 = [[A1, C4], [C3, A2]]; its pattern also holds the
+    dense GAMMA_R pressure block, explicitly zero where A2 has no entry, and
+    ``dtn_slots`` are the row-major positions of that block in its data.
+    """
+
+    matrix0: sp.csr_matrix
+    dtn_slots: np.ndarray
     load: np.ndarray
     dof_map: DofMap
     trace_r: BoundaryTrace
@@ -239,29 +244,35 @@ def assemble_blocks(disc_mesh: Mesh, annulus_mesh: Mesh,
                                config.omega, dof_map)
     load = assemble_load(disc_mesh, annulus_mesh, config, dof_map)
     trace_r = boundary_trace(annulus_mesh, GAMMA_R)
-    return SystemBlocks(elastic=a1, helmholtz=a2, coupling_pu=c3,
-                        coupling_up=c4, load=load, dof_map=dof_map,
-                        trace_r=trace_r)
+
+    dofs = dof_map.pressure(trace_r.node_indices)
+    rows, cols = np.repeat(dofs, len(dofs)), np.tile(dofs, len(dofs))
+    a0 = sp.bmat([[a1.astype(complex), c4], [c3, a2]], format="coo")
+    matrix0 = sp.coo_matrix(
+        (np.append(a0.data, np.zeros(len(rows))),
+         (np.append(a0.row, rows), np.append(a0.col, cols))),
+        shape=a0.shape).tocsr()
+    n = matrix0.shape[0]
+    keys = np.repeat(np.arange(n), np.diff(matrix0.indptr)) * n \
+        + matrix0.indices
+    return SystemBlocks(matrix0=matrix0,
+                        dtn_slots=np.searchsorted(keys, rows * n + cols),
+                        load=load, dof_map=dof_map, trace_r=trace_r)
 
 
 def assemble_system(disc_mesh: Mesh, annulus_mesh: Mesh,
                     config: PhysicalConfig,
                     blocks: SystemBlocks | None = None) -> FemSystem:
-    """Complete complex sparse system for the given truncation order
+    """Complete complex sparse system A0 - P B P^T for the truncation order
     config.N; pass precomputed ``blocks`` when sweeping over N."""
     if blocks is None:
         blocks = assemble_blocks(disc_mesh, annulus_mesh, config)
     b_dtn = dtn_ops.assemble_dtn_matrix(blocks.trace_r, config.k, config.R,
                                         config.N)
-    m = len(blocks.trace_r)
-    idx = blocks.trace_r.node_indices
-    scatter = sp.coo_matrix(
-        (b_dtn.ravel(), (np.repeat(idx, m), np.tile(idx, m))),
-        shape=blocks.helmholtz.shape)
-    fluid_block = blocks.helmholtz.astype(complex) - scatter.tocsr()
-    matrix = sp.bmat(
-        [[blocks.elastic.astype(complex), blocks.coupling_up],
-         [blocks.coupling_pu, fluid_block]], format="csr")
+    a0 = blocks.matrix0
+    data = a0.data.copy()
+    data[blocks.dtn_slots] -= b_dtn.ravel()
+    matrix = sp.csr_matrix((data, a0.indices, a0.indptr), shape=a0.shape)
     return FemSystem(matrix=matrix, rhs=blocks.load.copy(),
                      dof_map=blocks.dof_map, disc_mesh=disc_mesh,
                      annulus_mesh=annulus_mesh, config=config)

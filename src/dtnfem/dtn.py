@@ -7,6 +7,11 @@ symmetric matrix of rank at most 2N+1:
 
     B[i][j] = (R/2pi) sum_{n=-N..N} z_|n| M[j][n] conj(M[i][n]),
     M[j][n] = integral of zeta_j(phi) e^{-i n phi} dphi.
+
+Pairing the modes +n and -n gives the real factor B = U diag(d) U^T used by
+both the assembly and the low-rank sweep: the columns of U are the hat
+moments of 1, cos(n phi), sin(n phi), ordered [n=0, cos 1, sin 1, ...,
+cos N, sin N], so the order-M operator (M <= N) is the first 2M+1 columns.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from .mesh import BoundaryTrace
 
 __all__ = [
     "DtnOperator", "DecayTable",
-    "fourier_moment", "trace_moments", "build_dtn_operator",
+    "fourier_moment", "trace_moments", "build_dtn_operator", "dtn_factor",
     "assemble_dtn_matrix", "apply_modal_dtn", "truncation_decay_check",
 ]
 
@@ -94,23 +99,37 @@ def build_dtn_operator(trace: BoundaryTrace, k: float, radius: float,
     )
 
 
+def dtn_factor(trace: BoundaryTrace, k: float, radius: float, order: int):
+    """Real columns U, shape (m, 2*order+1), and complex weights d with
+    B = U diag(d) U^T; column order [n=0, cos 1, sin 1, ..., cos N, sin N]."""
+    delta = _check_uniform(trace)
+    z = _mode_coefficients(k, radius, order)
+    n = np.arange(1, order + 1)
+    w = _hat_weight(n, delta)
+    columns = np.empty((len(trace), 2 * order + 1))
+    columns[:, 0] = delta
+    columns[:, 1::2] = w * np.cos(np.outer(trace.angles, n))
+    columns[:, 2::2] = w * np.sin(np.outer(trace.angles, n))
+    weights = np.empty(2 * order + 1, dtype=complex)
+    weights[0] = radius / (2.0 * np.pi) * z[0]
+    weights[1::2] = weights[2::2] = (radius / np.pi) * z[1:]
+    return columns, weights
+
+
 def assemble_dtn_matrix(trace: BoundaryTrace, k: float, radius: float,
                         order: int) -> np.ndarray:
     """Dense matrix B[i][j] = integral over the circle of (S^N zeta_j) zeta_i ds.
 
-    Accumulated mode-by-mode from real cosine/sine outer products so the
-    complex symmetry B == B.T holds exactly in floating point.
+    Accumulated mode-by-mode from the columns of :func:`dtn_factor`, a cosine
+    and a sine outer product per mode, so the complex symmetry B == B.T holds
+    exactly in floating point.
     """
-    delta = _check_uniform(trace)
-    z = _mode_coefficients(k, radius, order)
+    columns, weights = dtn_factor(trace, k, radius, order)
     m = len(trace)
-    B = np.full((m, m), radius / (2.0 * np.pi) * z[0] * delta ** 2,
-                dtype=complex)
+    B = np.full((m, m), weights[0] * columns[0, 0] ** 2, dtype=complex)
     for n in range(1, order + 1):
-        w = _hat_weight(np.array([n]), delta)[0]
-        c = w * np.cos(n * trace.angles)
-        s = w * np.sin(n * trace.angles)
-        B += (radius / np.pi) * z[n] * (np.outer(c, c) + np.outer(s, s))
+        c, s = columns[:, 2 * n - 1], columns[:, 2 * n]
+        B += weights[2 * n] * (np.outer(c, c) + np.outer(s, s))
     return B
 
 

@@ -22,7 +22,7 @@ from .assembly import _p1_geometry, assemble_blocks, assemble_system
 from .config import PhysicalConfig
 from .mesh import (Mesh, _coarse_pair_triangles, build_annulus_mesh,
                    build_disc_mesh, mesh_size, refine)
-from .solve import FieldSolution, solve
+from .solve import FieldSolution, LowRankSweep, solve
 
 __all__ = [
     "CSV_HEADER", "ErrorReport", "StudyConfig",
@@ -57,7 +57,8 @@ _TRI_QW = np.array([9 / 40,
 class ErrorReport:
     """One study row.  ``seconds`` is the wall time of the row's
     ``assemble_system`` plus ``solve``; building the mesh, the oracle tables
-    and the error reduction are not counted."""
+    and the error reduction are not counted, nor, in a truncation study, the
+    per-curve factorization of A0 that every order's solve reuses."""
 
     h: float
     N: int
@@ -214,11 +215,11 @@ def _solve_exact(cfg: StudyConfig, k: float) -> analytic.SeriesSolution:
 
 
 def _solve_row(disc: Mesh, annulus: Mesh, config: PhysicalConfig,
-               blocks=None):
+               blocks=None, sweep=None):
     """Assemble and solve one study row; returns (solution, seconds), the
     only timing a row reports."""
     t0 = time.perf_counter()
-    sol = solve(assemble_system(disc, annulus, config, blocks))
+    sol = solve(assemble_system(disc, annulus, config, blocks), sweep)
     return sol, time.perf_counter() - t0
 
 
@@ -299,9 +300,11 @@ class TruncationResult:
 def truncation_study(cfg: StudyConfig) -> TruncationResult:
     """err_h0 against the truncation order N, one curve per (k, mesh level).
 
-    The N-independent blocks and the oracle values at the quadrature points
-    are assembled once per curve; only the absorbing-boundary matrix and the
-    sparse factorization are redone per N.
+    The N-independent matrix A0, its sparse factorization and the oracle
+    values at the quadrature points are built once per curve.  Each N then
+    assembles its absorbing-boundary matrix and is solved from that one
+    factorization as a rank-(2N+1) update (``solve.LowRankSweep``), with the
+    direct solve as the fallback; a single order is solved directly.
     """
     reports, plateaus, residuals = [], [], []
     for k in cfg.k_values:
@@ -310,11 +313,13 @@ def truncation_study(cfg: StudyConfig) -> TruncationResult:
             disc, annulus = build_mesh_pair(cfg.R0, cfg.R, cfg.n_angular,
                                             level)
             blocks = assemble_blocks(disc, annulus, cfg.physical(k))
+            sweep = (LowRankSweep(blocks, cfg.physical(k, max(cfg.n_values)))
+                     if len(set(cfg.n_values)) > 1 else None)
             quad = _ExactQuadrature(disc, annulus, exact)
             curve = []
             for N in cfg.n_values:
                 sol, seconds = _solve_row(disc, annulus, cfg.physical(k, N),
-                                          blocks)
+                                          blocks, sweep)
                 curve.append(quad.report(sol, seconds))
                 residuals.append(sol.residual)
             reports.extend(curve)

@@ -140,8 +140,13 @@ def _annulus_layers(R0: float, R: float, n_angular: int) -> int:
         raise ValueError("annulus requires a finite R > R0 > 0")
     # radial step keyed to the interface chord, where the field varies fastest;
     # also keeps the refined h ladder close to clean halving
-    inner_chord = 2.0 * R0 * np.sin(np.pi / n_angular)
-    return max(1, round((R - R0) / inner_chord))
+    inner_chord = 2.0 * R0 * float(np.sin(np.pi / n_angular))
+    # a subnormal R0 underflows the chord to 0 or the quotient to inf
+    layers = float(R - R0) / inner_chord if inner_chord > 0.0 else np.inf
+    if np.isinf(layers):
+        raise ValueError(f"annulus R0={R0!r} < r < R={R!r} needs more radial "
+                         "layers than can be counted")
+    return max(1, round(layers))
 
 
 def _coarse_pair_triangles(R0: float, R: float, n_angular: int) -> int:

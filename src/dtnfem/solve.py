@@ -1,4 +1,15 @@
-"""Direct sparse solution and pointwise evaluation of the discrete fields."""
+"""Sparse solution and pointwise evaluation of the discrete fields.
+
+A single system is solved directly (``solve_linear``).  A truncation sweep
+solves every order N from one factorization of the N-independent matrix A0
+(``LowRankSweep``): with V = P U, the system A0 - V D V^T is solved by the
+Woodbury identity
+
+    x = y + A0^{-1} V c,   y = A0^{-1} b,   (I - D S) c = D V^T y,
+
+where S = V^T A0^{-1} V is formed once at the largest order and the
+capacitance matrix I - D S of order N is its leading (2N+1)^2 block.
+"""
 
 from __future__ import annotations
 
@@ -9,20 +20,27 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .assembly import FemSystem, _p1_geometry
+from . import dtn as dtn_ops
+from .assembly import FemSystem, SystemBlocks, _p1_geometry
 from .config import PhysicalConfig
 from .mesh import Mesh
 
-__all__ = ["FieldSolution", "SingularSystemError", "solve", "solve_linear",
-           "evaluate_field"]
+__all__ = ["FieldSolution", "LowRankSweep", "SingularSystemError", "solve",
+           "solve_linear", "evaluate_field"]
 
 RESIDUAL_TOL = 1e-10
 LOCATE_TOL = 1e-10   # smallest barycentric that still counts as inside
+_SWEEP_BLOCK = 8     # columns of V per A0 solve while forming S
 
 
 class SingularSystemError(RuntimeError):
     """Numerically singular system: a Jones-type resonance or a broken
     configuration.  Never silently regularized."""
+
+
+def _relative_residual(matrix, x, rhs) -> float:
+    return float(np.linalg.norm(matrix @ x - rhs)
+                 / max(np.linalg.norm(rhs), 1e-300))
 
 
 def solve_linear(matrix: sp.spmatrix, rhs: np.ndarray):
@@ -37,13 +55,71 @@ def solve_linear(matrix: sp.spmatrix, rhs: np.ndarray):
         raise SingularSystemError(str(exc)) from exc
     if not np.all(np.isfinite(x)):
         raise SingularSystemError("solver produced non-finite values")
-    rhs_norm = np.linalg.norm(rhs)
-    residual = float(np.linalg.norm(matrix @ x - rhs) / max(rhs_norm, 1e-300))
+    residual = _relative_residual(matrix, x, rhs)
     if residual > RESIDUAL_TOL:
         raise SingularSystemError(
             f"relative residual {residual:.3e} exceeds {RESIDUAL_TOL:g}; "
             "system is numerically singular")
     return x, residual
+
+
+class LowRankSweep:
+    """Every truncation order N <= config.N of one SystemBlocks from a single
+    LU of A0, each order by the Woodbury identity (module docstring).
+
+    A0 has a natural (Neumann) condition at R, so it can be singular at
+    isolated k while every A0 - P B P^T is not: when SuperLU cannot factor
+    A0, or an order's answer is non-finite or misses RESIDUAL_TOL against the
+    full system matrix, that order is solved by ``solve_linear`` instead.
+    """
+
+    def __init__(self, blocks: SystemBlocks, config: PhysicalConfig):
+        self.order = config.N
+        self._dofs = blocks.dof_map.pressure(blocks.trace_r.node_indices)
+        self._columns, self._weights = dtn_ops.dtn_factor(
+            blocks.trace_r, config.k, config.R, config.N)
+        a0 = blocks.matrix0.tocsc()
+        a0.eliminate_zeros()     # the empty DtN slots would only add fill
+        try:
+            self._lu = spla.splu(a0)
+        except RuntimeError:     # A0 exactly singular: every order goes direct
+            self._lu = None
+            return
+        # S = V^T A0^{-1} V, a few columns at a time; A0^{-1} V is not kept
+        n, r = blocks.matrix0.shape[0], self._columns.shape[1]
+        self._s = np.empty((r, r), dtype=complex)
+        for j in range(0, r, _SWEEP_BLOCK):
+            cols = self._columns[:, j:j + _SWEEP_BLOCK]
+            v = np.zeros((n, cols.shape[1]), dtype=complex)
+            v[self._dofs] = cols
+            self._s[:, j:j + _SWEEP_BLOCK] = \
+                self._columns.T @ self._lu.solve(v)[self._dofs]
+
+    def _woodbury(self, rhs: np.ndarray, N: int):
+        """x of order N, or None when the capacitance matrix is exactly
+        singular."""
+        r = 2 * N + 1
+        u, d = self._columns[:, :r], self._weights[:r]
+        y = self._lu.solve(rhs.astype(complex))
+        try:
+            c = np.linalg.solve(np.eye(r) - d[:, None] * self._s[:r, :r],
+                                d * (u.T @ y[self._dofs]))
+        except np.linalg.LinAlgError:
+            return None
+        v = np.zeros_like(y)
+        v[self._dofs] = u @ c
+        return y + self._lu.solve(v)
+
+    def solve(self, system: FemSystem):
+        """(x, relative residual) for one order, under the same gate as
+        ``solve_linear``."""
+        if self._lu is not None and system.config.N <= self.order:
+            x = self._woodbury(system.rhs, system.config.N)
+            if x is not None and np.all(np.isfinite(x)):
+                residual = _relative_residual(system.matrix, x, system.rhs)
+                if residual <= RESIDUAL_TOL:
+                    return x, residual
+        return solve_linear(system.matrix, system.rhs)
 
 
 @dataclass(frozen=True)
@@ -71,8 +147,12 @@ class FieldSolution:
         return _Locator(self.annulus_mesh)
 
 
-def solve(system: FemSystem) -> FieldSolution:
-    x, residual = solve_linear(system.matrix, system.rhs)
+def solve(system: FemSystem, sweep: LowRankSweep | None = None
+          ) -> FieldSolution:
+    """Direct solve, or through ``sweep`` when several truncation orders
+    share one SystemBlocks."""
+    x, residual = (solve_linear(system.matrix, system.rhs) if sweep is None
+                   else sweep.solve(system))
     ns = system.dof_map.n_solid_nodes
     return FieldSolution(
         u_nodal=x[:2 * ns].reshape(ns, 2),

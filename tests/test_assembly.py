@@ -5,7 +5,7 @@ import scipy.sparse.linalg as spla
 import sympy
 from numpy.polynomial.legendre import leggauss
 
-from dtnfem import PhysicalConfig, analytic, assembly, harness
+from dtnfem import PhysicalConfig, analytic, assembly, dtn, harness
 from dtnfem import mesh as M
 
 UNIT_TRIANGLE = M.Mesh(
@@ -285,6 +285,20 @@ def test_system_blocks_reused(pair16):
     reused = assembly.assemble_system(disc, ann, cfg, blocks)
     assert (direct.matrix - reused.matrix).nnz == 0
     assert np.array_equal(direct.rhs, reused.rhs)
+
+
+def test_system_is_matrix0_minus_the_dtn_block(pair16):
+    disc, ann = pair16
+    cfg = PhysicalConfig(N=8)
+    blocks = assembly.assemble_blocks(disc, ann, cfg)
+    system = assembly.assemble_system(disc, ann, cfg, blocks)
+    dofs = blocks.dof_map.pressure(blocks.trace_r.node_indices)
+    want = blocks.matrix0.toarray()
+    want[np.ix_(dofs, dofs)] -= dtn.assemble_dtn_matrix(blocks.trace_r, cfg.k,
+                                                        cfg.R, cfg.N)
+    assert np.array_equal(system.matrix.toarray(), want)
+    # A0 carries no absorbing boundary, so every entry is real
+    assert np.all(blocks.matrix0.imag.data == 0.0)
 
 
 def test_galerkin_consistency_rate(base_config, base_series):

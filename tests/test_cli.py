@@ -1,3 +1,5 @@
+import warnings
+
 import pytest
 
 from dtnfem import cli
@@ -184,4 +186,20 @@ def test_mesh_beyond_the_cap_is_a_configuration_error(argv, tmp_path,
     err = capsys.readouterr().err
     assert "configuration error" in err
     assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_subnormal_radius_is_refused_like_any_oversized_mesh(tmp_path,
+                                                             capsys):
+    """R0 = 5e-324 underflows the interface chord to 0: refused with exit 1
+    like R0 = 1e-300, not a divide-by-zero warning and an overflow."""
+    out = tmp_path / "out.txt"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run(["mesh-dump", "--R0", "5e-324", "--output", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "configuration error" in err
+    assert "RuntimeWarning" not in err and "Traceback" not in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert not out.exists()

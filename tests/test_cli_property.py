@@ -1,10 +1,13 @@
 """Property tests of the CLI exit-code contract on the ``oracle``,
-``solve`` and ``mesh-dump`` subcommands.
+``solve``, ``mesh-dump``, ``convergence`` and ``truncation`` subcommands.
 
 For any argument vector: the exit code is 0, 1 or 2 and stderr holds no
 traceback.  A successful ``oracle`` prints only finite numbers; a successful
 ``solve`` or ``mesh-dump`` ran a refinement level of 0 or 1, the only
-accepted ones among the drawn levels, so every example stays cheap.
+accepted ones among the drawn levels, so every example stays cheap.  A
+successful study ran level 1 only (``--levels 1``) at a DtN order of at most
+4; a truncation study of several orders goes through the low-rank sweep and,
+where it fails, its direct fallback.
 """
 
 import contextlib
@@ -58,6 +61,10 @@ _radii = st.one_of(st.sampled_from([0.5, 3.0]),
                    st.sampled_from(_EXTREMES + [-v for v in _EXTREMES]
                                    + [0.0, np.nan, np.inf, -np.inf]))
 _N_ANGULAR = [-16, 0, 7, 8, 16, 10 ** 6]
+# study sweeps, accepted values first: --levels L runs levels 1..L;
+# --order / --n-max
+_STUDY_LEVELS = [1, -1, 0, 8]
+_STUDY_ORDERS = [4, 1, 0, -1]
 
 
 @st.composite
@@ -88,6 +95,22 @@ def mesh_dump_argv(draw):
     level, argv = draw(mesh_flags("--refine"))
     region = draw(st.sampled_from(("disc", "annulus")))
     return level, ["mesh-dump", f"--region={region}", *argv]
+
+
+@st.composite
+def study_argv(draw, command, order_flag):
+    level = draw(st.sampled_from(_STUDY_LEVELS))
+    order = draw(st.sampled_from(_STUDY_ORDERS))
+    argv = [command, f"--levels={level}", f"{order_flag}={order}"]
+    # at most one radius and one physics value, so that some of the
+    # examples are accepted and solved
+    if draw(st.booleans()):
+        flag = draw(st.sampled_from(("--R0", "--R")))
+        argv.append(f"{flag}={_text(draw(_radii))}")
+    if draw(st.booleans()):
+        flag = draw(st.sampled_from(_PHYSICS_FLAGS))
+        argv.append(f"{flag}={_text(draw(_values))}")
+    return level, order, argv
 
 
 def _run(argv):
@@ -142,3 +165,37 @@ def test_mesh_dump_exit_code_contract(case):
         assert "Traceback" not in err
         if code == 0:
             assert level in (0, 1) and os.path.exists(path), (argv, out)
+
+
+def _run_study(argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "study.csv")
+        code, out, err = _run([*argv, f"--output={path}"])
+        rows = None
+        if os.path.exists(path):
+            with open(path) as fh:
+                rows = [ln for ln in fh.read().splitlines()[1:]
+                        if not ln.startswith("#")]
+    return code, out, err, rows
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(study_argv("convergence", "--order"))
+def test_convergence_exit_code_contract(case):
+    level, order, argv = case
+    code, out, err, rows = _run_study(argv)
+    assert code in (0, 1, 2), (argv, code, err)
+    assert "Traceback" not in err
+    if code == 0:
+        assert level == 1 and order >= 0 and len(rows) == 1, (argv, out)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(study_argv("truncation", "--n-max"))
+def test_truncation_exit_code_contract(case):
+    level, n_max, argv = case
+    code, out, err, rows = _run_study(argv)
+    assert code in (0, 1, 2), (argv, code, err)
+    assert "Traceback" not in err
+    if code == 0:
+        assert level == 1 and n_max >= 1 and len(rows) == n_max, (argv, out)

@@ -141,6 +141,20 @@ def test_matrix_rank_bound(trace):
         assert np.sum(sv > 1e-10 * sv[0]) <= 2 * order + 1
 
 
+def test_factor_reproduces_the_matrix_and_nests(trace):
+    """B = U diag(d) U^T with real columns [1, cos 1, sin 1, ...], and the
+    order-M factor is the leading 2M+1 columns of the order-N one."""
+    columns, weights = dtn.dtn_factor(trace, 1.0, 2.0, 7)
+    assert columns.shape == (len(trace), 15) and np.isrealobj(columns)
+    B = dtn.assemble_dtn_matrix(trace, 1.0, 2.0, 7)
+    assert np.max(np.abs((columns * weights) @ columns.T - B)) \
+        < 1e-14 * np.max(np.abs(B))
+    for order in (0, 3):
+        c, d = dtn.dtn_factor(trace, 1.0, 2.0, order)
+        assert np.allclose(c, columns[:, :2 * order + 1], rtol=1e-15, atol=0)
+        assert np.array_equal(d, weights[:2 * order + 1])
+
+
 def test_mode_space_matrix_space_consistency(trace):
     rng = np.random.default_rng(0)
     v = rng.normal(size=len(trace)) + 1j * rng.normal(size=len(trace))

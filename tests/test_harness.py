@@ -239,12 +239,15 @@ def test_study_config_validation():
 
 def test_truncation_row_at_study_order_is_the_convergence_row(
         convergence_result, truncation_result):
-    """Both studies measure their N=20 rows through the same pipeline."""
+    """Both studies measure their N=20 rows through the same pipeline; the
+    truncation sweep solves by a low-rank update of one factorization, the
+    convergence row directly, so the errors agree to roundoff, not bitwise."""
     n20 = [r for r in truncation_result.reports if r.N == 20]
     assert len(n20) == len(convergence_result.reports) == 3
     for trunc, conv in zip(n20, convergence_result.reports):
-        assert (trunc.h, trunc.dofs, trunc.err_h0, trunc.err_h1) == \
-            (conv.h, conv.dofs, conv.err_h0, conv.err_h1)
+        assert (trunc.h, trunc.dofs) == (conv.h, conv.dofs)
+        assert trunc.err_h0 == pytest.approx(conv.err_h0, rel=1e-10, abs=0)
+        assert trunc.err_h1 == pytest.approx(conv.err_h1, rel=1e-10, abs=0)
 
 
 def test_csv_output(tmp_path, convergence_result):

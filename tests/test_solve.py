@@ -1,14 +1,19 @@
+import dataclasses
 import gc
+import importlib
 import weakref
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from dtnfem import PhysicalConfig, assembly
+from dtnfem import PhysicalConfig, StudyConfig, analytic, assembly, harness
 from dtnfem import mesh as M
-from dtnfem.solve import (FieldSolution, SingularSystemError, evaluate_field,
-                          solve, solve_linear)
+from dtnfem.solve import (FieldSolution, LowRankSweep, SingularSystemError,
+                          evaluate_field, solve, solve_linear)
+
+# the module, not the ``solve`` function the package re-exports
+solve_module = importlib.import_module("dtnfem.solve")
 
 R0, R, N_ANGULAR = 1.0, 2.0, 16
 
@@ -264,3 +269,72 @@ def test_locator_refuses_points_off_the_mesh(mesh_pairs, level):
         for point in non_finite:
             with pytest.raises(ValueError):
                 evaluate_field(sol, point, which)
+
+
+# ------------------------------------------------------------- low-rank sweep
+
+def _no_direct_solve(matrix, rhs):
+    raise AssertionError("the low-rank sweep fell back to the direct solve")
+
+
+@pytest.mark.parametrize("k", [1.0, 2.0])
+@pytest.mark.parametrize("level", [1, 2, 3])
+def test_sweep_matches_the_direct_solve(mesh_pairs, monkeypatch, level, k):
+    """Every order N = 1..20 from one factorization of A0 agrees with the
+    direct solve of its full system to 1e-12 in the 2-norm, and its error
+    norms to 1e-10, without taking the fallback."""
+    disc, ann = mesh_pairs[level]
+    blocks = assembly.assemble_blocks(disc, ann, PhysicalConfig(k=k))
+    sweep = LowRankSweep(blocks, PhysicalConfig(k=k, N=20))
+    quad = harness._ExactQuadrature(
+        disc, ann, analytic.solve_modes(PhysicalConfig(k=k)))
+    ns = blocks.dof_map.n_solid_nodes
+    for N in range(1, 21):
+        system = assembly.assemble_system(disc, ann, PhysicalConfig(k=k, N=N),
+                                          blocks)
+        with monkeypatch.context() as patch:
+            patch.setattr(solve_module, "solve_linear", _no_direct_solve)
+            x, residual = sweep.solve(system)
+        direct, _ = solve_linear(system.matrix, system.rhs)
+        assert residual <= 1e-10
+        assert np.linalg.norm(x - direct) <= 1e-12 * np.linalg.norm(direct)
+        errs = quad.errors(x[:2 * ns].reshape(ns, 2), x[2 * ns:])
+        want = quad.errors(direct[:2 * ns].reshape(ns, 2), direct[2 * ns:])
+        assert errs == pytest.approx(want, rel=1e-10, abs=0)
+
+
+class _WrongFactor:
+    """An LU whose solves are off by half: the residual gate must catch it."""
+
+    def __init__(self, lu):
+        self._lu = lu
+
+    def solve(self, rhs):
+        return 1.5 * self._lu.solve(rhs)
+
+
+@pytest.mark.parametrize("failure", ["singular", "wrong"])
+def test_sweep_falls_back_to_the_direct_solve(monkeypatch, failure):
+    """When SuperLU calls A0 singular, or its factor solves wrongly, every
+    order is solved directly: the rows are the direct path's, bitwise."""
+    cfg = StudyConfig(levels=(1,), n_values=(1, 2, 3, 4))
+    with monkeypatch.context() as patch:
+        patch.setattr(harness, "LowRankSweep", lambda blocks, config: None)
+        direct = harness.truncation_study(cfg)
+
+    splu, factored = solve_module.spla.splu, []
+
+    def a0_fails(matrix, *args, **kwargs):
+        factored.append(matrix.shape)
+        if len(factored) > 1:
+            return splu(matrix, *args, **kwargs)
+        if failure == "singular":   # the curve's A0 is factored first
+            raise RuntimeError("Factor is exactly singular")
+        return _WrongFactor(splu(matrix, *args, **kwargs))
+
+    monkeypatch.setattr(solve_module.spla, "splu", a0_fails)
+    swept = harness.truncation_study(cfg)
+    assert len(factored) == 1 + len(cfg.n_values)   # A0, then each order
+    assert [dataclasses.astuple(r)[:6] for r in swept.reports] == \
+        [dataclasses.astuple(r)[:6] for r in direct.reports]
+    assert max(swept.residuals) <= 1e-10
