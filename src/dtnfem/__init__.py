@@ -5,14 +5,11 @@ against the closed-form modal solution for the disc scatterer."""
 from .config import PhysicalConfig
 from .mesh import (ANNULUS, DISC, GAMMA, GAMMA_R, BoundaryTrace, Mesh,
                    boundary_trace, build_annulus_mesh, build_disc_mesh,
-                   load_mesh, mesh_size, refine, save_mesh)
-from .dtn import (DtnOperator, apply_modal_dtn, assemble_dtn_matrix,
-                  build_dtn_operator, dtn_factor, fourier_moment,
-                  trace_moments, truncation_decay_check)
+                   mesh_size, refine, save_mesh)
+from .dtn import assemble_dtn_matrix, dtn_factor, truncation_decay_check
 from .assembly import (DofMap, FemSystem, SystemBlocks, assemble_blocks,
                        assemble_coupling, assemble_elastic,
-                       assemble_helmholtz, assemble_load, assemble_system,
-                       dump_system)
+                       assemble_helmholtz, assemble_load, assemble_system)
 from .solve import (FieldSolution, LowRankSweep, SingularSystemError,
                     evaluate_field, solve, solve_linear)
 from .analytic import (SeriesSolution, SingularModeError, eval_displacement,

@@ -133,18 +133,20 @@ def solve_modes(config: PhysicalConfig, n_modes: int | None = None,
     A, B, C = [], [], []
     largest = 0.0
     for n in range(budget):
-        E, e = modal_system(n, config)
-        e = e * incident_amplitude
+        # an entry of E_n or of the residual that overflows is a failed mode
         try:
-            X = np.linalg.solve(E, e)
-        except np.linalg.LinAlgError as exc:
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                E, e = modal_system(n, config)
+                e = e * incident_amplitude
+                X = np.linalg.solve(E, e)
+                res = np.linalg.norm(E @ X - e)
+                norm = np.linalg.norm(X)
+        except (np.linalg.LinAlgError, FloatingPointError) as exc:
             raise SingularModeError(f"mode {n}: {exc}") from exc
-        res = np.linalg.norm(E @ X - e)
         if res > _RESIDUAL_RTOL * max(np.linalg.norm(e), 1e-300):
             raise SingularModeError(
                 f"mode {n}: solve residual {res:.3e} exceeds "
                 f"{_RESIDUAL_RTOL:g} * ||e||; configuration near resonance?")
-        norm = np.linalg.norm(X)
         largest = max(largest, norm)
         if largest > 0.0 and norm < _TAIL_RTOL * largest and n > 2:
             break

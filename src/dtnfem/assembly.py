@@ -30,7 +30,7 @@ from .mesh import GAMMA, GAMMA_R, BoundaryTrace, Mesh, boundary_trace
 __all__ = [
     "DofMap", "FemSystem", "SystemBlocks", "PhysicalConfig",
     "assemble_elastic", "assemble_helmholtz", "assemble_coupling",
-    "assemble_load", "assemble_blocks", "assemble_system", "dump_system",
+    "assemble_load", "assemble_blocks", "assemble_system",
 ]
 
 _P1_MASS = (np.ones((3, 3)) + np.eye(3)) / 12.0
@@ -276,12 +276,3 @@ def assemble_system(disc_mesh: Mesh, annulus_mesh: Mesh,
     return FemSystem(matrix=matrix, rhs=blocks.load.copy(),
                      dof_map=blocks.dof_map, disc_mesh=disc_mesh,
                      annulus_mesh=annulus_mesh, config=config)
-
-
-def dump_system(system: FemSystem, path) -> None:
-    """Coordinate-format text dump: header 'dim nnz', lines 'i j re im'."""
-    coo = system.matrix.tocoo()
-    with open(path, "w") as fh:
-        fh.write(f"{system.matrix.shape[0]} {coo.nnz}\n")
-        for i, j, v in zip(coo.row, coo.col, coo.data):
-            fh.write(f"{i} {j} {v.real:.17g} {v.imag:.17g}\n")

@@ -39,6 +39,11 @@ _CONFIG_KEYS = {
 }
 
 
+# The field grid costs 50-60 us a point at the default level 2 and about
+# 0.3 ms at level 4 (README): the largest grid takes about 15 s and 85 s.
+MAX_GRID_POINTS = 250_000
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse exits 2 on bad flags; the interface contract wants 1.  A
     negative number in exponent notation, such as -1e-5, is a value: the
@@ -135,6 +140,9 @@ def _print(line):
 
 
 def cmd_solve(args) -> int:
+    if args.grid < 0 or 4 * args.grid ** 2 > MAX_GRID_POINTS:
+        raise ValueError(f"--grid {args.grid}: the field grid has 4*grid^2 "
+                         f"points, which must be 0 to {MAX_GRID_POINTS}")
     cfg = _study_config(args)
     k = cfg.k_values[0]
     report, sol, exact = run_single(cfg, k, cfg.N, args.level)

@@ -1,17 +1,19 @@
 """Truncated Dirichlet-to-Neumann operator on the circular artificial boundary.
 
-The operator acts mode-by-mode with impedance z_n = k H'_n(kR)/H_n(kR).  Its
-Galerkin matrix over the piecewise-linear (in angle) trace basis is assembled
-from closed-form Fourier moments of the hat functions, giving a dense complex
-symmetric matrix of rank at most 2N+1:
+The operator acts mode-by-mode with impedance z_n = k H'_n(kR)/H_n(kR), and
+z_{-n} = z_n.  Its Galerkin matrix over the piecewise-linear (in angle) trace
+basis, hats zeta_j of half-width delta centred at phi_j, is dense, complex
+symmetric and of rank at most 2N+1.  Pairing the modes +n and -n gives the
+real factor used by both the assembly and the low-rank sweep:
 
-    B[i][j] = (R/2pi) sum_{n=-N..N} z_|n| M[j][n] conj(M[i][n]),
-    M[j][n] = integral of zeta_j(phi) e^{-i n phi} dphi.
+    B = U diag(d) U^T,
+    U[j][0] = delta, U[j][2n-1] = w_n cos(n phi_j), U[j][2n] = w_n sin(n phi_j),
+    d[0] = (R/2pi) z_0,  d[2n-1] = d[2n] = (R/pi) z_n,
 
-Pairing the modes +n and -n gives the real factor B = U diag(d) U^T used by
-both the assembly and the low-rank sweep: the columns of U are the hat
-moments of 1, cos(n phi), sin(n phi), ordered [n=0, cos 1, sin 1, ...,
-cos N, sin N], so the order-M operator (M <= N) is the first 2M+1 columns.
+with the hat weights w_n = integral of zeta_j(phi) cos(n (phi - phi_j)) dphi
+= 4 sin^2(n delta/2) / (n^2 delta).  The columns are ordered [n=0, cos 1,
+sin 1, ..., cos N, sin N], so the order-M operator (M <= N) is the first
+2M+1 of them.
 """
 
 from __future__ import annotations
@@ -24,63 +26,19 @@ from . import special
 from .mesh import BoundaryTrace
 
 __all__ = [
-    "DtnOperator", "DecayTable",
-    "fourier_moment", "trace_moments", "build_dtn_operator", "dtn_factor",
-    "assemble_dtn_matrix", "apply_modal_dtn", "truncation_decay_check",
+    "DecayTable", "dtn_factor", "assemble_dtn_matrix", "truncation_decay_check",
 ]
 
 _UNIFORM_TOL = 1e-12
 
 
 def _check_uniform(trace: BoundaryTrace) -> float:
-    """Moments are closed-form only for equally spaced trace angles."""
+    """The hat weights are closed-form only for equally spaced trace angles."""
     gaps = np.diff(np.append(trace.angles, trace.angles[0] + 2.0 * np.pi))
     delta = 2.0 * np.pi / len(trace)
     if np.max(np.abs(gaps - delta)) > _UNIFORM_TOL * 2.0 * np.pi:
         raise ValueError("boundary trace is not uniformly spaced")
     return delta
-
-
-def _hat_weight(n: np.ndarray, delta: float) -> np.ndarray:
-    """integral of the angular hat against e^{-in phi}, phase at hat center removed."""
-    n = np.asarray(n)
-    w = np.full(n.shape, delta, dtype=float)
-    nz = n != 0
-    w[nz] = 4.0 * np.sin(n[nz] * delta / 2.0) ** 2 / (n[nz] ** 2 * delta)
-    return w
-
-
-def fourier_moment(trace: BoundaryTrace, j: int, n: int) -> complex:
-    """M[j][n] for the hat centered at trace node j."""
-    delta = _check_uniform(trace)
-    w = _hat_weight(np.array([n]), delta)[0]
-    return complex(np.exp(-1j * n * trace.angles[j]) * w)
-
-
-def trace_moments(trace: BoundaryTrace, order: int) -> np.ndarray:
-    """Moment matrix, shape (len(trace), 2*order+1), columns n = -order..order."""
-    delta = _check_uniform(trace)
-    n = np.arange(-order, order + 1)
-    return np.exp(-1j * np.outer(trace.angles, n)) * _hat_weight(n, delta)
-
-
-@dataclass(frozen=True)
-class DtnOperator:
-    """Truncation order, per-mode impedances and trace moments."""
-
-    order: int
-    k: float
-    radius: float
-    coefficients: np.ndarray  # (order+1,) complex, z_0..z_order
-    moments: np.ndarray       # (m, 2*order+1) complex
-
-    def __post_init__(self):
-        self.coefficients.setflags(write=False)
-        self.moments.setflags(write=False)
-
-    @property
-    def mode_orders(self) -> np.ndarray:
-        return np.arange(-self.order, self.order + 1)
 
 
 def _mode_coefficients(k: float, radius: float, order: int) -> np.ndarray:
@@ -90,22 +48,13 @@ def _mode_coefficients(k: float, radius: float, order: int) -> np.ndarray:
         [special.dtn_coefficient(n, k, radius) for n in range(order + 1)])
 
 
-def build_dtn_operator(trace: BoundaryTrace, k: float, radius: float,
-                       order: int) -> DtnOperator:
-    return DtnOperator(
-        order=int(order), k=float(k), radius=float(radius),
-        coefficients=_mode_coefficients(k, radius, order),
-        moments=trace_moments(trace, order),
-    )
-
-
 def dtn_factor(trace: BoundaryTrace, k: float, radius: float, order: int):
     """Real columns U, shape (m, 2*order+1), and complex weights d with
     B = U diag(d) U^T; column order [n=0, cos 1, sin 1, ..., cos N, sin N]."""
     delta = _check_uniform(trace)
     z = _mode_coefficients(k, radius, order)
     n = np.arange(1, order + 1)
-    w = _hat_weight(n, delta)
+    w = 4.0 * np.sin(n * delta / 2.0) ** 2 / (n ** 2 * delta)
     columns = np.empty((len(trace), 2 * order + 1))
     columns[:, 0] = delta
     columns[:, 1::2] = w * np.cos(np.outer(trace.angles, n))
@@ -133,26 +82,6 @@ def assemble_dtn_matrix(trace: BoundaryTrace, k: float, radius: float,
     return B
 
 
-def _mode_axis(coefficients: np.ndarray) -> int:
-    coefficients = np.asarray(coefficients)
-    if coefficients.ndim != 1 or coefficients.shape[0] % 2 == 0:
-        raise ValueError("modal coefficients must be a vector of odd length "
-                         "(orders -M..M)")
-    return coefficients.shape[0] // 2
-
-
-def apply_modal_dtn(coefficients: np.ndarray, k: float, radius: float,
-                    order: int) -> np.ndarray:
-    """Exact mode-space action of S^N: z_|n| p_n for |n| <= order, else 0."""
-    M = _mode_axis(coefficients)
-    n = np.arange(-M, M + 1)
-    z = _mode_coefficients(k, radius, min(order, M))
-    out = np.zeros_like(np.asarray(coefficients, dtype=complex))
-    keep = np.abs(n) <= order
-    out[keep] = z[np.abs(n[keep])] * np.asarray(coefficients)[keep]
-    return out
-
-
 @dataclass(frozen=True)
 class DecayTable:
     """Tail norms ||(S - S^N) p|| in H^{-1/2} against N, with the fitted ratio."""
@@ -168,11 +97,15 @@ def truncation_decay_check(k: float, R0: float, radius: float,
     of a field radiating from inside r = R0 < radius."""
     if not (radius > R0 > 0.0):
         raise ValueError("need radius > R0 > 0")
-    M = _mode_axis(coefficients)
+    coefficients = np.asarray(coefficients)
+    if coefficients.ndim != 1 or coefficients.shape[0] % 2 == 0:
+        raise ValueError("modal coefficients must be a vector of odd length "
+                         "(orders -M..M)")
+    M = coefficients.shape[0] // 2
     n = np.arange(-M, M + 1)
     z = _mode_coefficients(k, radius, M)
     weight = (1.0 + n.astype(float) ** 2) ** -0.5
-    terms = weight * np.abs(z[np.abs(n)] * np.asarray(coefficients)) ** 2
+    terms = weight * np.abs(z[np.abs(n)] * coefficients) ** 2
 
     orders = np.asarray(list(orders), dtype=int)
     tails = np.array(

@@ -24,7 +24,7 @@ __all__ = [
     "GAMMA", "GAMMA_R", "DISC", "ANNULUS",
     "Mesh", "BoundaryTrace",
     "build_disc_mesh", "build_annulus_mesh", "refine", "boundary_trace",
-    "mesh_size", "triangle_areas", "save_mesh", "load_mesh",
+    "mesh_size", "triangle_areas", "save_mesh",
 ]
 
 
@@ -304,27 +304,3 @@ def save_mesh(mesh: Mesh, path) -> None:
         lines.append(f"{i} {j} {tag}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def load_mesh(path) -> Mesh:
-    """Inverse of :func:`save_mesh`; region inferred from the edge tags."""
-    with open(path) as fh:
-        tokens = fh.readline().split()
-        if len(tokens) != 6 or tokens[0] != "nodes" or tokens[2] != "triangles" \
-                or tokens[4] != "edges":
-            raise ValueError(f"malformed mesh header in {path}")
-        n_nodes, n_tris, n_edges = int(tokens[1]), int(tokens[3]), int(tokens[5])
-        nodes = np.array(
-            [[float(v) for v in fh.readline().split()] for _ in range(n_nodes)])
-        tris = np.array(
-            [[int(v) for v in fh.readline().split()] for _ in range(n_tris)],
-            dtype=np.int64)
-        edges = np.empty((n_edges, 2), dtype=np.int64)
-        tags = []
-        for e in range(n_edges):
-            i, j, tag = fh.readline().split()
-            edges[e] = (int(i), int(j))
-            tags.append(tag)
-    region = ANNULUS if GAMMA_R in tags else DISC
-    return Mesh(nodes=nodes, triangles=tris, boundary_edges=edges,
-                boundary_tags=tuple(tags), region=region)

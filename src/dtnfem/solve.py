@@ -65,7 +65,8 @@ def solve_linear(matrix: sp.spmatrix, rhs: np.ndarray):
 
 class LowRankSweep:
     """Every truncation order N <= config.N of one SystemBlocks from a single
-    LU of A0, each order by the Woodbury identity (module docstring).
+    LU of A0, each order by the Woodbury identity (module docstring) for the
+    load of the blocks.
 
     A0 has a natural (Neumann) condition at R, so it can be singular at
     isolated k while every A0 - P B P^T is not: when SuperLU cannot factor
@@ -94,13 +95,14 @@ class LowRankSweep:
             v[self._dofs] = cols
             self._s[:, j:j + _SWEEP_BLOCK] = \
                 self._columns.T @ self._lu.solve(v)[self._dofs]
+        # y = A0^{-1} b: assemble_system hands every order a copy of this load
+        self._y = self._lu.solve(blocks.load.astype(complex))
 
-    def _woodbury(self, rhs: np.ndarray, N: int):
-        """x of order N, or None when the capacitance matrix is exactly
-        singular."""
+    def _woodbury(self, N: int):
+        """x of order N for the load of the blocks, or None when the
+        capacitance matrix is exactly singular."""
         r = 2 * N + 1
-        u, d = self._columns[:, :r], self._weights[:r]
-        y = self._lu.solve(rhs.astype(complex))
+        u, d, y = self._columns[:, :r], self._weights[:r], self._y
         try:
             c = np.linalg.solve(np.eye(r) - d[:, None] * self._s[:r, :r],
                                 d * (u.T @ y[self._dofs]))
@@ -114,7 +116,7 @@ class LowRankSweep:
         """(x, relative residual) for one order, under the same gate as
         ``solve_linear``."""
         if self._lu is not None and system.config.N <= self.order:
-            x = self._woodbury(system.rhs, system.config.N)
+            x = self._woodbury(system.config.N)
             if x is not None and np.all(np.isfinite(x)):
                 residual = _relative_residual(system.matrix, x, system.rhs)
                 if residual <= RESIDUAL_TOL:

@@ -341,16 +341,3 @@ def test_continuity_constant_bounded(base_config):
             cmax = max(cmax, num / den)
         cs.append(cmax)
     assert cs[1] <= 1.1 * cs[0]
-
-
-def test_dump_system_format(tmp_path, pair16):
-    disc, ann = pair16
-    system = assembly.assemble_system(disc, ann, PhysicalConfig(N=2))
-    path = tmp_path / "system.txt"
-    assembly.dump_system(system, path)
-    lines = path.read_text().splitlines()
-    dim, nnz = (int(v) for v in lines[0].split())
-    assert dim == system.matrix.shape[0]
-    assert nnz == len(lines) - 1
-    i, j, re, im = lines[1].split()
-    int(i), int(j), float(re), float(im)

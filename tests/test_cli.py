@@ -3,7 +3,6 @@ import warnings
 import pytest
 
 from dtnfem import cli
-from dtnfem.mesh import load_mesh
 from dtnfem.solve import SingularSystemError
 
 
@@ -51,6 +50,20 @@ def test_solve_summary_and_outputs(tmp_path, capsys, monkeypatch):
     assert any(ln.startswith("fluid,") for ln in rows)
 
 
+@pytest.mark.parametrize("grid", ["-2", "100000"])
+def test_grid_is_checked_before_the_solve(grid, tmp_path, capsys):
+    """A negative grid, or one of more than MAX_GRID_POINTS points, is
+    refused before anything is solved or allocated."""
+    path = tmp_path / "fields.csv"
+    assert run(["solve", "--level", "0", "--grid", grid,
+                "--grid-path", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert "configuration error" in captured.err
+    assert "Traceback" not in captured.err
+    assert "solve k=" not in captured.out
+    assert not path.exists()
+
+
 def test_oracle_fluid_point(capsys):
     assert run(["oracle", "--k", "1", "--point", "1.5", "0.0"]) == 0
     out = capsys.readouterr().out
@@ -69,9 +82,11 @@ def test_mesh_dump_roundtrip(tmp_path):
     code = run(["mesh-dump", "--region", "annulus", "--refine", "1",
                 "--output", str(out)])
     assert code == 0
-    mesh = load_mesh(out)
-    assert mesh.region == "ANNULUS"
-    assert mesh.num_triangles == 4 * 96
+    lines = out.read_text().splitlines()
+    header = lines[0].split()
+    assert header[2:4] == ["triangles", str(4 * 96)]
+    tags = {line.split()[-1] for line in lines[-int(header[5]):]}
+    assert tags == {"GAMMA", "GAMMA_R"}
 
 
 def test_missing_config_file_names_path(capsys):
@@ -203,3 +218,19 @@ def test_subnormal_radius_is_refused_like_any_oversized_mesh(tmp_path,
     assert "RuntimeWarning" not in err and "Traceback" not in err
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--level", "0", "--omega=7.5e-87"],
+    ["convergence", "--levels=1", "--order=4", "--k=1e-150"]])
+def test_overflowing_mode_is_a_numerical_failure_without_warnings(
+        argv, tmp_path, capsys):
+    """A mode matrix or residual that overflows is refused as a failed
+    mode, with no RuntimeWarning on the way."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run([*argv, "--output", str(tmp_path / "out.csv")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "numerical failure: mode " in err
+    assert "Traceback" not in err and "Warning" not in err

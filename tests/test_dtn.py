@@ -62,37 +62,49 @@ def matrix_by_double_quadrature(trace, k, radius, order, npts=10):
 
 # -------------------------------------------------------------------- moments
 
+def factor_moments(trace, order):
+    """Hat moments M[j][n], columns n = -order..order, from the real factor:
+    M[j][0] = U[j,0] and M[j][+-n] = U[j,2n-1] -+ i U[j,2n]."""
+    columns, _ = dtn.dtn_factor(trace, 1.0, 2.0, order)
+    cos, sin = columns[:, 1::2], columns[:, 2::2]
+    return np.hstack([(cos + 1j * sin)[:, ::-1], columns[:, :1],
+                      cos - 1j * sin])
+
+
+def moment(trace, j, n):
+    return factor_moments(trace, abs(n))[j, abs(n) + n]
+
+
 def test_moment_zero_mode_is_spacing(trace):
     for j in (0, 5, 11):
-        assert dtn.fourier_moment(trace, j, 0) == pytest.approx(trace.spacing,
-                                                                abs=1e-15)
+        assert moment(trace, j, 0) == pytest.approx(trace.spacing, abs=1e-15)
 
 
 def test_moment_closed_form_vs_quadrature(trace):
+    mom = factor_moments(trace, 8)
     for j in (0, 3, 9):
         for n in range(-8, 9):
-            got = dtn.fourier_moment(trace, j, n)
-            want = moment_by_quadrature(trace, j, n)
-            assert abs(got - want) < 1e-12
+            assert abs(mom[j, 8 + n] - moment_by_quadrature(trace, j, n)) \
+                < 1e-12
 
 
 def test_moment_partition_of_unity(trace):
+    mom = factor_moments(trace, 7)
     for n in (1, 2, 5, 7):
-        total = sum(dtn.fourier_moment(trace, j, n) for j in range(len(trace)))
-        assert abs(total) < 1e-12
+        assert abs(np.sum(mom[:, 7 + n])) < 1e-12
 
 
 def test_moment_conjugation_symmetry(trace):
-    mom = dtn.trace_moments(trace, 6)
-    order = 6
-    for n in range(1, order + 1):
-        assert np.array_equal(mom[:, order - n], np.conj(mom[:, order + n]))
+    """z_{-n} = z_n and real columns: the factor pairs +n and -n exactly."""
+    columns, weights = dtn.dtn_factor(trace, 1.0, 2.0, 6)
+    assert np.isrealobj(columns)
+    assert np.array_equal(weights[1::2], weights[2::2])
 
 
 def test_operator_moment_row_zero(trace):
-    op = dtn.build_dtn_operator(trace, 1.0, 2.0, 5)
-    assert np.allclose(op.moments[:, op.order], trace.spacing, atol=1e-15)
-    assert op.coefficients.shape == (6,)
+    columns, weights = dtn.dtn_factor(trace, 1.0, 2.0, 5)
+    assert np.allclose(columns[:, 0], trace.spacing, atol=1e-15)
+    assert weights.shape == (11,)
 
 
 def test_nonuniform_trace_rejected(trace):
@@ -101,14 +113,14 @@ def test_nonuniform_trace_rejected(trace):
     bad = BoundaryTrace(node_indices=trace.node_indices.copy(),
                         angles=angles, radius=trace.radius)
     with pytest.raises(ValueError):
-        dtn.trace_moments(bad, 3)
+        dtn.dtn_factor(bad, 1.0, 2.0, 3)
 
 
 @settings(max_examples=30, deadline=None)
 @given(j=st.integers(min_value=0, max_value=15),
        n=st.integers(min_value=-12, max_value=12))
 def test_moment_property(trace, j, n):
-    got = dtn.fourier_moment(trace, j, n)
+    got = moment(trace, j, n)
     assert abs(got - moment_by_quadrature(trace, j, n)) < 1e-12
 
 
@@ -160,33 +172,40 @@ def test_mode_space_matrix_space_consistency(trace):
     v = rng.normal(size=len(trace)) + 1j * rng.normal(size=len(trace))
     order = 6
     Bv = dtn.assemble_dtn_matrix(trace, 1.0, 2.0, order) @ v
-    mom = dtn.trace_moments(trace, order)
+    mom = factor_moments(trace, order)
     coeffs = (mom.T @ v) / (2 * np.pi)          # Fourier coefficients of the trace
-    s_coeffs = dtn.apply_modal_dtn(coeffs, 1.0, 2.0, order)
-    Bv_modes = trace.radius * (np.conj(mom) @ s_coeffs)
+    z = np.array([special.dtn_coefficient(abs(n), 1.0, 2.0)
+                  for n in range(-order, order + 1)])
+    Bv_modes = trace.radius * (np.conj(mom) @ (z * coeffs))
     assert np.max(np.abs(Bv - Bv_modes)) < 1e-12 * np.max(np.abs(Bv))
 
 
 # ----------------------------------------------------------------- mode space
 
-def test_apply_modal_single_mode():
-    p = np.zeros(9, dtype=complex)
-    p[4] = 1.0  # n = 0
-    out = dtn.apply_modal_dtn(p, 1.0, 2.0, 4)
-    assert out[4] == special.dtn_coefficient(0, 1.0, 2.0)
-    assert np.all(out[np.arange(9) != 4] == 0.0)
+def test_apply_modal_single_mode(trace):
+    """The constant trace is mode 0 alone (the hats sum to one), so every
+    order maps it to R * spacing * z_0 at each node, up to the rounding of
+    the vanishing cos/sin sums."""
+    z0 = special.dtn_coefficient(0, 1.0, 2.0)
+    for order in (0, 4):
+        columns, weights = dtn.dtn_factor(trace, 1.0, 2.0, order)
+        Bv = (columns * weights) @ (columns.T @ np.ones(len(trace)))
+        assert np.max(np.abs(Bv - 2.0 * trace.spacing * z0)) \
+            < 1e-14 * abs(2.0 * trace.spacing * z0)
 
 
-def test_apply_modal_truncation_inactive():
-    rng = np.random.default_rng(1)
-    M = 6
-    p = rng.normal(size=2 * M + 1) + 1j * rng.normal(size=2 * M + 1)
-    full = dtn.apply_modal_dtn(p, 1.0, 2.0, M)
-    z = np.array([special.dtn_coefficient(abs(n), 1.0, 2.0)
-                  for n in range(-M, M + 1)])
-    assert np.allclose(full, z * p, rtol=0, atol=1e-15)
-    # any order >= M acts identically
-    assert np.array_equal(dtn.apply_modal_dtn(p, 1.0, 2.0, M + 5), full)
+def test_apply_modal_truncation_inactive(trace):
+    """The weights are the mode impedances, d_0 = R z_0 / 2pi and
+    d_{2n-1} = d_{2n} = R z_n / pi, and any order >= M acts identically
+    on the modes |n| <= M."""
+    M, R = 6, 2.0
+    _, full = dtn.dtn_factor(trace, 1.0, R, M)
+    z = np.array([special.dtn_coefficient(n, 1.0, R) for n in range(M + 1)])
+    assert np.allclose(full[0] * 2 * np.pi / R, z[0], rtol=0, atol=1e-15)
+    assert np.allclose(full[1::2] * np.pi / R, z[1:], rtol=0, atol=1e-15)
+    assert np.array_equal(full[1::2], full[2::2])
+    _, longer = dtn.dtn_factor(trace, 1.0, R, M + 5)
+    assert np.array_equal(longer[:2 * M + 1], full)
 
 
 def test_decay_single_mode_content():
@@ -223,4 +242,4 @@ def test_decay_validation():
     with pytest.raises(ValueError):
         dtn.truncation_decay_check(1.0, 2.0, 1.0, np.ones(5, complex), range(3))
     with pytest.raises(ValueError):
-        dtn.apply_modal_dtn(np.ones(4, complex), 1.0, 2.0, 1)
+        dtn.truncation_decay_check(1.0, 1.0, 2.0, np.ones(4, complex), range(3))
