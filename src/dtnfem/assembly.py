@@ -11,7 +11,9 @@ A2: Helmholtz form (stiffness - k^2 mass) on the annulus; C3/C4: interface
 couplings through the outward normal of the solid; B: the truncated
 absorbing-boundary matrix subtracted into the pressure-pressure block.  The
 N-independent matrix A0 = [[A1, C4], [C3, A2]] is assembled once; each order
-N subtracts its B = U diag(d) U^T at fixed slots of A0's pattern.
+N subtracts its B = U diag(d) U^T at fixed slots of A0's pattern.  Every
+system of a mesh pair is factored in one nested-dissection order
+(``SystemBlocks.ordering``) built from the unknowns' coordinates.
 Volume element integrals are exact for P1; boundary loads use 4-point Gauss
 per edge.
 """
@@ -34,6 +36,8 @@ __all__ = [
 ]
 
 _P1_MASS = (np.ones((3, 3)) + np.eye(3)) / 12.0
+
+_ND_LEAF = 64   # parts of at most this many unknowns are not cut further
 
 # 4-point Gauss-Legendre on [-1, 1] for the oscillatory boundary loads
 _GAUSS_X = np.array([
@@ -208,6 +212,102 @@ def assemble_load(disc_mesh: Mesh, annulus_mesh: Mesh, config: PhysicalConfig,
     return rhs
 
 
+def _segment_offsets(part: np.ndarray, width: np.ndarray, n_parts: int):
+    """Unknowns before each entry within its part (entries grouped by part),
+    and the unknowns of every part."""
+    totals = np.bincount(part, weights=width, minlength=n_parts).astype(np.int64)
+    before = np.cumsum(width) - width
+    return before - (np.cumsum(totals) - totals)[part], totals
+
+
+def _nested_dissection(matrix: sp.csr_matrix, coords: np.ndarray,
+                       lead: np.ndarray, width: np.ndarray,
+                       root: np.ndarray) -> np.ndarray:
+    """Fill-reducing elimination order: ``order[i]`` is the unknown
+    eliminated i-th (geometric nested dissection; George, SIAM J. Numer.
+    Anal. 10, 1973).
+
+    Node j sits at ``coords[j]`` and carries the one or two unknowns from
+    ``lead[j]``; two nodes are neighbours when ``matrix`` couples their lead
+    unknowns.  The unknowns in ``root`` go last.  The other nodes are cut at
+    the median of each part's wider coordinate axis, every part of one depth
+    at once; a cut's separator is the left-side nodes with a neighbour on
+    the right.  Parts of at most _ND_LEAF unknowns are leaves.  The tree is
+    laid out in postorder (left, right, separator), so a part's positions in
+    ``order`` are fixed when it is cut.
+    """
+    n, m = matrix.shape[0], len(lead)
+    order = np.empty(n, dtype=np.int64)
+    order[n - len(root):] = root
+    node_of = np.full(n, -1, dtype=np.int64)
+    node_of[lead] = np.arange(m)
+    node_of[root] = -1
+    ei = np.repeat(node_of, np.diff(matrix.indptr))
+    ej = node_of[matrix.indices]
+    upper = (ej > ei) & (ei >= 0)
+    ei, ej = ei[upper], ej[upper]
+    rank = np.empty((2, m), dtype=np.int64)   # place along x and along y
+    for axis in range(2):
+        rank[axis, np.argsort(coords[:, axis], kind="stable")] = np.arange(m)
+
+    def place(slots, nodes):
+        order[slots] = lead[nodes]
+        pair = width[nodes] == 2
+        order[slots[pair] + 1] = lead[nodes[pair]] + 1
+
+    # the nodes still to place, grouped by part, and each part's first slot
+    nodes = np.flatnonzero(node_of[lead] >= 0)
+    part = np.zeros(len(nodes), dtype=np.int64)
+    first = np.zeros(1, dtype=np.int64)
+    while len(nodes):
+        counts = np.bincount(part)
+        local, size = _segment_offsets(part, width[nodes], len(counts))
+        leaf = size[part] <= _ND_LEAF
+        place(first[part[leaf]] + local[leaf], nodes[leaf])
+        cut = size > _ND_LEAF
+        if not cut.any():
+            break
+        nodes, part = nodes[~leaf], (np.cumsum(cut) - 1)[part[~leaf]]
+        counts, first = counts[cut], first[cut]
+        starts = np.cumsum(counts) - counts
+
+        # sort each part along its wider axis and cut it at the median node
+        xy = coords[nodes]
+        span = np.maximum.reduceat(xy, starts) - np.minimum.reduceat(xy, starts)
+        wide = (span[:, 1] > span[:, 0]).astype(np.int64)
+        nodes = nodes[np.argsort(part * m + rank[wide[part], nodes])]
+        right = np.arange(len(nodes)) - starts[part] >= counts[part] // 2
+        side = np.full(m, -1, dtype=np.int64)   # 2 part + right, -1 if placed
+        side[nodes] = 2 * part + right
+
+        # separator: the left ends of the edges that cross a cut
+        si, sj = side[ei], side[ej]
+        same = (si >= 0) & (si >> 1 == sj >> 1)
+        crossing = same & (si != sj)
+        is_sep = np.zeros(m, dtype=bool)
+        is_sep[np.where(si & 1, ej, ei)[crossing]] = True
+        keep = same & ~crossing
+        ei, ej = ei[keep], ej[keep]
+
+        # left child, right child, then the separator, inside each part
+        sep = is_sep[nodes]
+        child = side[nodes]
+        sizes = np.bincount(child[~sep], weights=width[nodes[~sep]],
+                            minlength=2 * len(counts)).astype(np.int64)
+        child_first = np.repeat(first, 2)
+        child_first[1::2] += sizes[0::2]
+        sep_part = part[sep]
+        sep_local, _ = _segment_offsets(sep_part, width[nodes[sep]],
+                                        len(counts))
+        place(child_first[2 * sep_part + 1] + sizes[2 * sep_part + 1]
+              + sep_local, nodes[sep])
+
+        kept = sizes > 0
+        nodes, part = nodes[~sep], (np.cumsum(kept) - 1)[child[~sep]]
+        first = child_first[kept]
+    return order
+
+
 @dataclass(frozen=True)
 class SystemBlocks:
     """N-independent pieces of the system, reusable across truncation orders.
@@ -215,6 +315,8 @@ class SystemBlocks:
     ``matrix0`` is A0 = [[A1, C4], [C3, A2]]; its pattern also holds the
     dense GAMMA_R pressure block, explicitly zero where A2 has no entry, and
     ``dtn_slots`` are the row-major positions of that block in its data.
+    ``ordering`` is the elimination order of every factorization of the
+    pair's systems (``_nested_dissection``, the GAMMA_R pressures last).
     """
 
     matrix0: sp.csr_matrix
@@ -222,6 +324,7 @@ class SystemBlocks:
     load: np.ndarray
     dof_map: DofMap
     trace_r: BoundaryTrace
+    ordering: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -232,6 +335,7 @@ class FemSystem:
     disc_mesh: Mesh
     annulus_mesh: Mesh
     config: PhysicalConfig
+    ordering: np.ndarray
 
 
 def assemble_blocks(disc_mesh: Mesh, annulus_mesh: Mesh,
@@ -255,9 +359,17 @@ def assemble_blocks(disc_mesh: Mesh, annulus_mesh: Mesh,
     n = matrix0.shape[0]
     keys = np.repeat(np.arange(n), np.diff(matrix0.indptr)) * n \
         + matrix0.indices
+    # disc node i leads (u_x, u_y) = (2i, 2i+1), annulus node j its pressure
+    ns, nf = dof_map.n_solid_nodes, dof_map.n_fluid_nodes
+    lead = np.append(dof_map.displacement(np.arange(ns), 0),
+                     dof_map.pressure(np.arange(nf)))
+    ordering = _nested_dissection(
+        matrix0, np.vstack([disc_mesh.nodes, annulus_mesh.nodes]), lead,
+        np.repeat([2, 1], [ns, nf]), dofs)
     return SystemBlocks(matrix0=matrix0,
                         dtn_slots=np.searchsorted(keys, rows * n + cols),
-                        load=load, dof_map=dof_map, trace_r=trace_r)
+                        load=load, dof_map=dof_map, trace_r=trace_r,
+                        ordering=ordering)
 
 
 def assemble_system(disc_mesh: Mesh, annulus_mesh: Mesh,
@@ -275,4 +387,5 @@ def assemble_system(disc_mesh: Mesh, annulus_mesh: Mesh,
     matrix = sp.csr_matrix((data, a0.indices, a0.indptr), shape=a0.shape)
     return FemSystem(matrix=matrix, rhs=blocks.load.copy(),
                      dof_map=blocks.dof_map, disc_mesh=disc_mesh,
-                     annulus_mesh=annulus_mesh, config=config)
+                     annulus_mesh=annulus_mesh, config=config,
+                     ordering=blocks.ordering)

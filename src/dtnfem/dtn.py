@@ -44,8 +44,7 @@ def _check_uniform(trace: BoundaryTrace) -> float:
 def _mode_coefficients(k: float, radius: float, order: int) -> np.ndarray:
     if order < 0 or order != int(order):
         raise ValueError("truncation order must be a non-negative integer")
-    return np.array(
-        [special.dtn_coefficient(n, k, radius) for n in range(order + 1)])
+    return special.dtn_coefficients(order, k, radius)
 
 
 def dtn_factor(trace: BoundaryTrace, k: float, radius: float, order: int):

@@ -217,59 +217,47 @@ def refine(mesh: Mesh) -> Mesh:
 
     Midpoints of boundary edges are snapped radially onto their tagged circle;
     everything else stays at the straight-edge midpoint, so triangle count is
-    exactly 4x and boundary loops/tag ordering are preserved.
+    exactly 4x and boundary loops/tag ordering are preserved.  New nodes are
+    numbered in the order a walk over the triangles, edges (a,b), (b,c),
+    (c,a), first meets their edges.
     """
-    boundary = {}
-    snap_radius = {}
-    for (a, b), tag in zip(mesh.boundary_edges, mesh.boundary_tags):
-        boundary[(min(a, b), max(a, b))] = tag
-        if tag not in snap_radius:
-            snap_radius[tag] = float(np.linalg.norm(mesh.nodes[a]))
+    v = mesh.num_nodes
+    ends = np.stack([mesh.triangles, np.roll(mesh.triangles, -1, axis=1)],
+                    axis=-1).reshape(-1, 2)
+    keys = np.min(ends, axis=1) * v + np.max(ends, axis=1)
+    edge_keys, first, inverse = np.unique(keys, return_index=True,
+                                          return_inverse=True)
+    by_first = np.argsort(first)
+    number = np.empty(len(edge_keys), dtype=np.int64)
+    number[by_first] = v + np.arange(len(edge_keys))
+    lo, hi = np.divmod(edge_keys[by_first], v)
+    points = 0.5 * (mesh.nodes[lo] + mesh.nodes[hi])
 
-    new_nodes = [mesh.nodes]
-    next_index = mesh.num_nodes
-    midpoint = {}
+    a, b = mesh.boundary_edges[:, 0], mesh.boundary_edges[:, 1]
+    boundary_keys = np.minimum(a, b) * v + np.maximum(a, b)
+    if not np.all(np.isin(boundary_keys, edge_keys)):
+        raise ValueError("a boundary edge is not an edge of any triangle")
+    mid = number[np.searchsorted(edge_keys, boundary_keys)]
+    # each circle's radius is its first edge's first node's
+    tags = np.asarray(mesh.boundary_tags)
+    radius = np.empty(len(tags))
+    for tag in set(mesh.boundary_tags):
+        radius[tags == tag] = float(
+            np.linalg.norm(mesh.nodes[a[np.argmax(tags == tag)]]))
+    # |p| from one dot product per point, the arithmetic np.linalg.norm uses
+    # for a single point (a sum of squares can round differently)
+    snapped = points[mid - v]
+    norm = np.sqrt(snapped[:, None, :] @ snapped[:, :, None])[:, 0, 0]
+    points[mid - v] = snapped * (radius / norm)[:, None]
 
-    def midpoint_of(a, b):
-        nonlocal next_index
-        key = (min(a, b), max(a, b))
-        idx = midpoint.get(key)
-        if idx is not None:
-            return idx
-        point = 0.5 * (mesh.nodes[a] + mesh.nodes[b])
-        tag = boundary.get(key)
-        if tag is not None:
-            point = point * (snap_radius[tag] / np.linalg.norm(point))
-        new_nodes.append(point[None, :])
-        midpoint[key] = next_index
-        next_index += 1
-        return midpoint[key]
-
-    tris = np.empty((4 * mesh.num_triangles, 3), dtype=np.int64)
-    for t, (a, b, c) in enumerate(mesh.triangles):
-        mab = midpoint_of(a, b)
-        mbc = midpoint_of(b, c)
-        mca = midpoint_of(c, a)
-        tris[4 * t:4 * t + 4] = [
-            (a, mab, mca),
-            (mab, b, mbc),
-            (mca, mbc, c),
-            (mab, mbc, mca),
-        ]
-
-    edges = []
-    tags = []
-    for (a, b), tag in zip(mesh.boundary_edges, mesh.boundary_tags):
-        m = midpoint[(min(a, b), max(a, b))]
-        edges.append((a, m))
-        edges.append((m, b))
-        tags.extend((tag, tag))
-
+    # corners (a, b, c, m_ab, m_bc, m_ca) of each parent, then its children
+    corners = np.hstack([mesh.triangles, number[inverse].reshape(-1, 3)])
+    tris = corners[:, [[0, 3, 5], [3, 1, 4], [5, 4, 2], [3, 4, 5]]]
     return Mesh(
-        nodes=np.vstack(new_nodes),
-        triangles=tris,
-        boundary_edges=np.asarray(edges, dtype=np.int64),
-        boundary_tags=tuple(tags),
+        nodes=np.vstack([mesh.nodes, points]),
+        triangles=tris.reshape(-1, 3),
+        boundary_edges=np.column_stack([a, mid, mid, b]).reshape(-1, 2),
+        boundary_tags=tuple(np.repeat(tags, 2).tolist()),
         region=mesh.region,
     )
 

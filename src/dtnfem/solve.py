@@ -9,6 +9,9 @@ Woodbury identity
 
 where S = V^T A0^{-1} V is formed once at the largest order and the
 capacitance matrix I - D S of order N is its leading (2N+1)^2 block.
+
+Both factor in the nested-dissection order of the mesh pair
+(``SystemBlocks.ordering``); a bare matrix is factored in COLAMD's order.
 """
 
 from __future__ import annotations
@@ -43,13 +46,35 @@ def _relative_residual(matrix, x, rhs) -> float:
                  / max(np.linalg.norm(rhs), 1e-300))
 
 
-def solve_linear(matrix: sp.spmatrix, rhs: np.ndarray):
+class _Factor:
+    """Sparse LU with SuperLU's partial pivoting: of ``matrix`` in COLAMD's
+    column order or, given an elimination ``ordering``, of P A P^T in that
+    order.  ``solve`` takes and returns vectors in the unpermuted numbering."""
+
+    def __init__(self, matrix: sp.spmatrix, ordering=None):
+        self._ordering = ordering
+        if ordering is None:
+            self._lu = spla.splu(matrix.tocsc())
+        else:
+            self._lu = spla.splu(matrix.tocsr()[ordering][:, ordering].tocsc(),
+                                 permc_spec="NATURAL")
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        if self._ordering is None:
+            return self._lu.solve(rhs)
+        x = np.empty_like(rhs)
+        x[self._ordering] = self._lu.solve(rhs[self._ordering])
+        return x
+
+
+def solve_linear(matrix: sp.spmatrix, rhs: np.ndarray, ordering=None):
     """Sparse LU with partial pivoting plus a hard post-solve residual check;
-    returns (x, relative residual)."""
+    returns (x, relative residual).  ``ordering`` (``FemSystem.ordering``)
+    sets the elimination order; without one, SuperLU's COLAMD chooses."""
     if matrix.shape[0] != matrix.shape[1] or matrix.shape[0] != rhs.shape[0]:
         raise ValueError("system matrix and right-hand side sizes disagree")
     try:
-        lu = spla.splu(matrix.tocsc().astype(complex))
+        lu = _Factor(matrix.astype(complex), ordering)
         x = lu.solve(rhs.astype(complex))
     except RuntimeError as exc:  # SuperLU signals exact singularity this way
         raise SingularSystemError(str(exc)) from exc
@@ -79,10 +104,10 @@ class LowRankSweep:
         self._dofs = blocks.dof_map.pressure(blocks.trace_r.node_indices)
         self._columns, self._weights = dtn_ops.dtn_factor(
             blocks.trace_r, config.k, config.R, config.N)
-        a0 = blocks.matrix0.tocsc()
+        a0 = blocks.matrix0.copy()
         a0.eliminate_zeros()     # the empty DtN slots would only add fill
         try:
-            self._lu = spla.splu(a0)
+            self._lu = _Factor(a0, blocks.ordering)
         except RuntimeError:     # A0 exactly singular: every order goes direct
             self._lu = None
             return
@@ -121,7 +146,7 @@ class LowRankSweep:
                 residual = _relative_residual(system.matrix, x, system.rhs)
                 if residual <= RESIDUAL_TOL:
                     return x, residual
-        return solve_linear(system.matrix, system.rhs)
+        return solve_linear(system.matrix, system.rhs, system.ordering)
 
 
 @dataclass(frozen=True)
@@ -153,8 +178,8 @@ def solve(system: FemSystem, sweep: LowRankSweep | None = None
           ) -> FieldSolution:
     """Direct solve, or through ``sweep`` when several truncation orders
     share one SystemBlocks."""
-    x, residual = (solve_linear(system.matrix, system.rhs) if sweep is None
-                   else sweep.solve(system))
+    x, residual = (solve_linear(system.matrix, system.rhs, system.ordering)
+                   if sweep is None else sweep.solve(system))
     ns = system.dof_map.n_solid_nodes
     return FieldSolution(
         u_nodal=x[:2 * ns].reshape(ns, 2),

@@ -22,6 +22,7 @@ __all__ = [
     "hankel1",
     "hankel1_derivative",
     "dtn_coefficient",
+    "dtn_coefficients",
 ]
 
 
@@ -86,8 +87,31 @@ def dtn_coefficient(n: int, k: float, radius: float) -> complex:
     Im(z_n) > 0 for every mode (outgoing-radiation sign); Re(z_n) -> -n/R for
     large n, the static limit of the absorbing boundary.
     """
-    if k <= 0.0 or radius <= 0.0:
-        raise ValueError("dtn_coefficient requires k > 0 and radius > 0")
+    _check_impedance_args(k, radius)
     x = k * radius
     z = k * hankel1_derivative(n, x) / hankel1(n, x)
     return _check_finite(complex(z), f"dtn coefficient z_{n}")
+
+
+def _check_impedance_args(k, radius):
+    if k <= 0.0 or radius <= 0.0:
+        raise ValueError("dtn_coefficient requires k > 0 and radius > 0")
+
+
+def dtn_coefficients(order: int, k: float, radius: float) -> np.ndarray:
+    """z_0..z_order from one J and one Y table of orders 0..order+1, by the
+    arithmetic of :func:`dtn_coefficient`, so entry n equals
+    ``dtn_coefficient(n, k, radius)`` bitwise."""
+    _check_impedance_args(k, radius)
+    order = _check_order(order)
+    x = k * radius
+    n = np.arange(order + 2)
+    with np.errstate(all="ignore"):   # a non-finite z_n is reported below
+        h = _sp.jv(n, x) + 1j * _sp.yv(n, x)
+        dh = np.append(-h[1], h[:order] - (n[1:order + 1] / x) * h[1:order + 1])
+        z = k * dh / h[:order + 1]
+    bad = np.flatnonzero(~np.isfinite(z))
+    if len(bad):
+        raise OverflowError(f"dtn coefficient z_{bad[0]} overflowed the "
+                            "floating-point range")
+    return z

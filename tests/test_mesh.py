@@ -114,6 +114,65 @@ def test_refine_counts_and_tags():
     assert np.allclose(t1.angles[::2], t0.angles, atol=1e-12)
 
 
+def _refine_reference(mesh):
+    """The Python-loop red refinement that ``M.refine`` vectorises: a walk
+    over the triangles that numbers each edge midpoint when first met."""
+    boundary = {}
+    snap_radius = {}
+    for (a, b), tag in zip(mesh.boundary_edges, mesh.boundary_tags):
+        boundary[(min(a, b), max(a, b))] = tag
+        if tag not in snap_radius:
+            snap_radius[tag] = float(np.linalg.norm(mesh.nodes[a]))
+
+    new_nodes = [mesh.nodes]
+    midpoint = {}
+
+    def midpoint_of(a, b):
+        key = (min(a, b), max(a, b))
+        if key not in midpoint:
+            point = 0.5 * (mesh.nodes[a] + mesh.nodes[b])
+            tag = boundary.get(key)
+            if tag is not None:
+                point = point * (snap_radius[tag] / np.linalg.norm(point))
+            new_nodes.append(point[None, :])
+            midpoint[key] = mesh.num_nodes + len(midpoint)
+        return midpoint[key]
+
+    tris = np.empty((4 * mesh.num_triangles, 3), dtype=np.int64)
+    for t, (a, b, c) in enumerate(mesh.triangles):
+        mab = midpoint_of(a, b)
+        mbc = midpoint_of(b, c)
+        mca = midpoint_of(c, a)
+        tris[4 * t:4 * t + 4] = [(a, mab, mca), (mab, b, mbc),
+                                 (mca, mbc, c), (mab, mbc, mca)]
+
+    edges, tags = [], []
+    for (a, b), tag in zip(mesh.boundary_edges, mesh.boundary_tags):
+        m = midpoint[(min(a, b), max(a, b))]
+        edges.extend([(a, m), (m, b)])
+        tags.extend((tag, tag))
+    return M.Mesh(nodes=np.vstack(new_nodes), triangles=tris,
+                  boundary_edges=np.asarray(edges, dtype=np.int64),
+                  boundary_tags=tuple(tags), region=mesh.region)
+
+
+@pytest.mark.parametrize("coarse", [M.build_disc_mesh(1.0, 16),
+                                    M.build_annulus_mesh(1.0, 2.0, 16)],
+                         ids=["disc", "annulus"])
+def test_refine_matches_the_loop_bitwise(coarse):
+    """Nodes, triangles, boundary edges and tags equal the loop's, bitwise,
+    at levels 0-5."""
+    fast = slow = coarse
+    for level in range(6):
+        if level:
+            fast, slow = M.refine(fast), _refine_reference(slow)
+        assert np.array_equal(fast.nodes, slow.nodes)
+        assert fast.triangles.dtype == slow.triangles.dtype
+        assert np.array_equal(fast.triangles, slow.triangles)
+        assert np.array_equal(fast.boundary_edges, slow.boundary_edges)
+        assert fast.boundary_tags == slow.boundary_tags
+
+
 def test_refine_halves_h():
     mesh = M.build_annulus_mesh(1.0, 2.0, 16)
     for _ in range(3):

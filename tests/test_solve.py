@@ -6,6 +6,7 @@ import weakref
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from dtnfem import PhysicalConfig, StudyConfig, analytic, assembly, harness
 from dtnfem import mesh as M
@@ -44,7 +45,8 @@ def test_residual_on_reference_configuration(solution16):
 
 
 def test_solve_keeps_the_solver_residual(system16, solution16):
-    x, residual = solve_linear(system16.matrix, system16.rhs)
+    x, residual = solve_linear(system16.matrix, system16.rhs,
+                               system16.ordering)
     recomputed = (np.linalg.norm(system16.matrix @ x - system16.rhs)
                   / np.linalg.norm(system16.rhs))
     assert residual == pytest.approx(recomputed, rel=1e-12)
@@ -269,6 +271,64 @@ def test_locator_refuses_points_off_the_mesh(mesh_pairs, level):
         for point in non_finite:
             with pytest.raises(ValueError):
                 evaluate_field(sol, point, which)
+
+
+# ------------------------------------------------- nested-dissection order
+
+def _level_system(mesh_pairs, level):
+    disc, ann = (mesh_pairs[level] if level in mesh_pairs
+                 else harness.build_mesh_pair(R0, R, N_ANGULAR, level))
+    return assembly.assemble_system(disc, ann, PhysicalConfig())
+
+
+@pytest.mark.parametrize("level", [0, 1, 2, 3])
+def test_ordering_is_a_permutation_with_the_outer_pressures_last(
+        mesh_pairs, level):
+    system = _level_system(mesh_pairs, level)
+    n = system.matrix.shape[0]
+    outer = system.dof_map.pressure(
+        M.boundary_trace(system.annulus_mesh, M.GAMMA_R).node_indices)
+    assert np.array_equal(np.sort(system.ordering), np.arange(n))
+    assert np.array_equal(system.ordering[n - len(outer):], outer)
+
+
+@pytest.mark.parametrize("level", [1, 2, 3, 4])
+def test_ordered_solve_matches_the_colamd_solve(mesh_pairs, level):
+    """``solve`` (nested dissection) against ``solve_linear`` without an
+    ordering (COLAMD), the path it replaces: 1e-12 relative in the 2-norm."""
+    system = _level_system(mesh_pairs, level)
+    sol = solve(system)
+    x = np.concatenate([sol.u_nodal.ravel(), sol.p_nodal])
+    reference, _ = solve_linear(system.matrix, system.rhs)
+    assert sol.residual <= 1e-10
+    assert np.linalg.norm(x - reference) <= 1e-12 * np.linalg.norm(reference)
+
+
+def test_ordering_cuts_fill_below_colamd(mesh_pairs):
+    system = _level_system(mesh_pairs, 3)
+    matrix, order = system.matrix.tocsr().astype(complex), system.ordering
+    colamd = spla.splu(matrix.tocsc())
+    nested = spla.splu(matrix[order][:, order].tocsc(),
+                            permc_spec="NATURAL")
+    assert nested.L.nnz + nested.U.nnz < colamd.L.nnz + colamd.U.nnz
+
+
+def test_ordered_solves_are_bitwise_equal(system16):
+    a, b = solve(system16), solve(system16)
+    assert np.array_equal(a.u_nodal, b.u_nodal)
+    assert np.array_equal(a.p_nodal, b.p_nodal)
+    assert a.residual == b.residual
+
+
+def test_singular_system_with_an_ordering_raises(system16):
+    # the outer-circle pressure rows zeroed: exactly singular
+    outer = system16.ordering[-len(M.boundary_trace(
+        system16.annulus_mesh, M.GAMMA_R)):]
+    keep = np.ones(system16.matrix.shape[0])
+    keep[outer] = 0.0
+    matrix = (sp.diags(keep) @ system16.matrix).tocsr()
+    with pytest.raises(SingularSystemError):
+        solve_linear(matrix, system16.rhs, system16.ordering)
 
 
 # ------------------------------------------------------------- low-rank sweep

@@ -218,6 +218,43 @@ def test_dtn_domain_errors():
         special.dtn_coefficient(0, 1.0, 0.0)
 
 
+@pytest.mark.parametrize("k", [0.3, 1.0, 2.0, 3.7, 10.0])
+def test_dtn_table_equals_the_scalar_impedances(k):
+    for radius in (1.5, 2.0, 3.0):
+        for order in (0, 1, 5, 20, 40):
+            loop = np.array([special.dtn_coefficient(n, k, radius)
+                             for n in range(order + 1)])
+            assert np.array_equal(special.dtn_coefficients(order, k, radius),
+                                  loop)
+
+
+def test_dtn_table_checks():
+    with pytest.raises(ValueError):
+        special.dtn_coefficients(special.MAX_ORDER + 1, 1.0, 2.0)
+    with pytest.raises(ValueError):
+        special.dtn_coefficients(-1, 1.0, 2.0)
+    with pytest.raises(ValueError):
+        special.dtn_coefficients(3, 0.0, 2.0)
+    with pytest.raises(ValueError):
+        special.dtn_coefficients(3, 1.0, -2.0)
+    # H_n(kR) overflows from some mode on: the table names the first mode
+    # the scalar function refuses
+    k, radius = 0.01, 0.1
+    first = next(n for n in range(special.MAX_ORDER + 1)
+                 if not _scalar_impedance_is_finite(n, k, radius))
+    with pytest.raises(OverflowError, match=f"z_{first} "):
+        special.dtn_coefficients(special.MAX_ORDER, k, radius)
+    special.dtn_coefficients(first - 1, k, radius)
+
+
+def _scalar_impedance_is_finite(n, k, radius):
+    try:
+        special.dtn_coefficient(n, k, radius)
+    except OverflowError:
+        return False
+    return True
+
+
 # ---------------------------------------------------------------- invariants
 
 @pytest.mark.parametrize("x", [0.5, 1.0, 2.0, 4.0, 10.0])
