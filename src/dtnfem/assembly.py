@@ -212,12 +212,24 @@ def assemble_load(disc_mesh: Mesh, annulus_mesh: Mesh, config: PhysicalConfig,
     return rhs
 
 
-def _segment_offsets(part: np.ndarray, width: np.ndarray, n_parts: int):
-    """Unknowns before each entry within its part (entries grouped by part),
-    and the unknowns of every part."""
-    totals = np.bincount(part, weights=width, minlength=n_parts).astype(np.int64)
-    before = np.cumsum(width) - width
-    return before - (np.cumsum(totals) - totals)[part], totals
+def _dissect(nodes, coords, rank, width, nbr, right):
+    """``nodes`` of one part in elimination order: left, right, separator.
+    ``coords`` is (2, m); ``right`` is all False, of length m + 1.
+
+    Module level on purpose: a recursive closure holds itself in its own
+    cell, a reference cycle that keeps ``nbr`` and ``right`` alive until the
+    cyclic garbage collector runs."""
+    if width[nodes].sum() <= _ND_LEAF:
+        return nodes
+    span = np.ptp(coords.take(nodes, axis=1), axis=1)
+    nodes = nodes[np.argsort(rank[int(span[1] > span[0])].take(nodes))]
+    left, rest = nodes[:len(nodes) // 2], nodes[len(nodes) // 2:]
+    right[rest] = True
+    sep = right.take(nbr.take(left, axis=0)).any(axis=1)
+    right[rest] = False
+    return np.concatenate([
+        _dissect(left[~sep], coords, rank, width, nbr, right),
+        _dissect(rest, coords, rank, width, nbr, right), left[sep]])
 
 
 def _nested_dissection(matrix: sp.csr_matrix, coords: np.ndarray,
@@ -229,83 +241,36 @@ def _nested_dissection(matrix: sp.csr_matrix, coords: np.ndarray,
 
     Node j sits at ``coords[j]`` and carries the one or two unknowns from
     ``lead[j]``; two nodes are neighbours when ``matrix`` couples their lead
-    unknowns.  The unknowns in ``root`` go last.  The other nodes are cut at
-    the median of each part's wider coordinate axis, every part of one depth
-    at once; a cut's separator is the left-side nodes with a neighbour on
-    the right.  Parts of at most _ND_LEAF unknowns are leaves.  The tree is
-    laid out in postorder (left, right, separator), so a part's positions in
-    ``order`` are fixed when it is cut.
+    unknowns.  The unknowns in ``root`` go last.  The other nodes are cut
+    recursively at the median of each part's wider coordinate axis (ties go
+    to x); a cut's separator is the left-side nodes with a neighbour on the
+    right.  Parts of at most _ND_LEAF unknowns are leaves and keep their
+    node order.
     """
-    n, m = matrix.shape[0], len(lead)
-    order = np.empty(n, dtype=np.int64)
-    order[n - len(root):] = root
-    node_of = np.full(n, -1, dtype=np.int64)
+    m = len(lead)
+    node_of = np.full(matrix.shape[0], -1, dtype=np.int64)
     node_of[lead] = np.arange(m)
     node_of[root] = -1
     ei = np.repeat(node_of, np.diff(matrix.indptr))
     ej = node_of[matrix.indices]
     upper = (ej > ei) & (ei >= 0)
     ei, ej = ei[upper], ej[upper]
-    rank = np.empty((2, m), dtype=np.int64)   # place along x and along y
-    for axis in range(2):
-        rank[axis, np.argsort(coords[:, axis], kind="stable")] = np.arange(m)
+    # padded neighbour table: row j lists j's neighbours, then m
+    ei, ej = np.append(ei, ej), np.append(ej, ei)
+    by = np.argsort(ei)
+    ei, ej = ei[by], ej[by]
+    degree = np.bincount(ei, minlength=m)
+    nbr = np.full((m, degree.max() + 1), m, dtype=np.int64)
+    nbr[ei, np.arange(len(ei)) - (np.cumsum(degree) - degree)[ei]] = ej
+    # place along x and along y: the inverse of each axis's sort
+    rank = np.argsort(np.argsort(coords.T, axis=1, kind="stable"), axis=1)
 
-    def place(slots, nodes):
-        order[slots] = lead[nodes]
-        pair = width[nodes] == 2
-        order[slots[pair] + 1] = lead[nodes[pair]] + 1
-
-    # the nodes still to place, grouped by part, and each part's first slot
-    nodes = np.flatnonzero(node_of[lead] >= 0)
-    part = np.zeros(len(nodes), dtype=np.int64)
-    first = np.zeros(1, dtype=np.int64)
-    while len(nodes):
-        counts = np.bincount(part)
-        local, size = _segment_offsets(part, width[nodes], len(counts))
-        leaf = size[part] <= _ND_LEAF
-        place(first[part[leaf]] + local[leaf], nodes[leaf])
-        cut = size > _ND_LEAF
-        if not cut.any():
-            break
-        nodes, part = nodes[~leaf], (np.cumsum(cut) - 1)[part[~leaf]]
-        counts, first = counts[cut], first[cut]
-        starts = np.cumsum(counts) - counts
-
-        # sort each part along its wider axis and cut it at the median node
-        xy = coords[nodes]
-        span = np.maximum.reduceat(xy, starts) - np.minimum.reduceat(xy, starts)
-        wide = (span[:, 1] > span[:, 0]).astype(np.int64)
-        nodes = nodes[np.argsort(part * m + rank[wide[part], nodes])]
-        right = np.arange(len(nodes)) - starts[part] >= counts[part] // 2
-        side = np.full(m, -1, dtype=np.int64)   # 2 part + right, -1 if placed
-        side[nodes] = 2 * part + right
-
-        # separator: the left ends of the edges that cross a cut
-        si, sj = side[ei], side[ej]
-        same = (si >= 0) & (si >> 1 == sj >> 1)
-        crossing = same & (si != sj)
-        is_sep = np.zeros(m, dtype=bool)
-        is_sep[np.where(si & 1, ej, ei)[crossing]] = True
-        keep = same & ~crossing
-        ei, ej = ei[keep], ej[keep]
-
-        # left child, right child, then the separator, inside each part
-        sep = is_sep[nodes]
-        child = side[nodes]
-        sizes = np.bincount(child[~sep], weights=width[nodes[~sep]],
-                            minlength=2 * len(counts)).astype(np.int64)
-        child_first = np.repeat(first, 2)
-        child_first[1::2] += sizes[0::2]
-        sep_part = part[sep]
-        sep_local, _ = _segment_offsets(sep_part, width[nodes[sep]],
-                                        len(counts))
-        place(child_first[2 * sep_part + 1] + sizes[2 * sep_part + 1]
-              + sep_local, nodes[sep])
-
-        kept = sizes > 0
-        nodes, part = nodes[~sep], (np.cumsum(kept) - 1)[child[~sep]]
-        first = child_first[kept]
-    return order
+    nodes = _dissect(np.flatnonzero(node_of[lead] >= 0),
+                     np.ascontiguousarray(coords.T), rank, width, nbr,
+                     np.zeros(m + 1, dtype=bool))
+    # a disc node's (u_x, u_y) stay adjacent
+    unknowns = lead[nodes, None] + np.arange(2)
+    return np.append(unknowns[np.arange(2) < width[nodes, None]], root)
 
 
 @dataclass(frozen=True)

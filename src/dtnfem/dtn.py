@@ -35,10 +35,9 @@ _UNIFORM_TOL = 1e-12
 def _check_uniform(trace: BoundaryTrace) -> float:
     """The hat weights are closed-form only for equally spaced trace angles."""
     gaps = np.diff(np.append(trace.angles, trace.angles[0] + 2.0 * np.pi))
-    delta = 2.0 * np.pi / len(trace)
-    if np.max(np.abs(gaps - delta)) > _UNIFORM_TOL * 2.0 * np.pi:
+    if np.max(np.abs(gaps - trace.spacing)) > _UNIFORM_TOL * 2.0 * np.pi:
         raise ValueError("boundary trace is not uniformly spaced")
-    return delta
+    return trace.spacing
 
 
 def _mode_coefficients(k: float, radius: float, order: int) -> np.ndarray:

@@ -12,7 +12,7 @@ rate measurement needs so quadrature error never masquerades as convergence.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from . import dtn as dtn_ops
 from .assembly import _p1_geometry, assemble_blocks, assemble_system
 from .config import PhysicalConfig
 from .mesh import (Mesh, _coarse_pair_triangles, build_annulus_mesh,
-                   build_disc_mesh, mesh_size, refine)
+                   build_disc_mesh, mesh_size, refine, triangle_areas)
 from .solve import FieldSolution, LowRankSweep, solve
 
 __all__ = [
@@ -138,17 +138,10 @@ class _ExactQuadrature:
                            seconds=seconds)
 
 
-_PHYSICAL_FIELDS = ("lam", "mu", "rho", "rho_f", "omega", "k", "R0", "R", "d")
-
-
-def _same_physics(a: PhysicalConfig, b: PhysicalConfig) -> bool:
-    return all(getattr(a, f) == getattr(b, f) for f in _PHYSICAL_FIELDS)
-
-
 def error_norms(sol: FieldSolution, exact: analytic.SeriesSolution) -> ErrorReport:
     """Measure the discrete solution against the modal oracle.  No solve is
     timed here, so the report's ``seconds`` is 0."""
-    if not _same_physics(sol.config, exact.config):
+    if replace(sol.config, N=exact.config.N) != exact.config:
         raise ValueError("solution and oracle use different physical "
                          "configurations")
     return _ExactQuadrature(sol.disc_mesh, sol.annulus_mesh,
@@ -194,7 +187,8 @@ class StudyConfig:
 def build_mesh_pair(R0: float, R: float, n_angular: int, level: int):
     """Coarse disc/annulus pair refined ``level`` times.  A level outside
     [0, MAX_LEVEL], or a pair predicted to hold more than MAX_TRIANGLES
-    triangles, is refused before any array is allocated."""
+    triangles, is refused before any array is allocated; a refinement that
+    inverts a triangle is refused at that level."""
     if not 0 <= level <= MAX_LEVEL:
         raise ValueError(f"refinement level must be in [0, {MAX_LEVEL}], "
                          f"got {level}")
@@ -204,9 +198,13 @@ def build_mesh_pair(R0: float, R: float, n_angular: int, level: int):
                          f"cap of {MAX_TRIANGLES}")
     disc = build_disc_mesh(R0, n_angular)
     annulus = build_annulus_mesh(R0, R, n_angular)
-    for _ in range(level):
+    for lv in range(1, level + 1):
         disc = refine(disc)
         annulus = refine(annulus)
+        # a midpoint snapped onto a circle can cross a thin band
+        if min(triangle_areas(disc).min(), triangle_areas(annulus).min()) <= 0:
+            raise ValueError(f"refinement level {lv} inverts a triangle; "
+                             "use a larger --n-angular or R - R0")
     return disc, annulus
 
 

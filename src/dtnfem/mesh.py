@@ -264,10 +264,11 @@ def refine(mesh: Mesh) -> Mesh:
 
 def boundary_trace(mesh: Mesh, tag: str) -> BoundaryTrace:
     """Nodes of one boundary loop, sorted counter-clockwise from angle 0."""
-    picked = [e for e, t in zip(mesh.boundary_edges, mesh.boundary_tags) if t == tag]
-    if not picked:
+    picked = mesh.boundary_edges[np.asarray(mesh.boundary_tags, dtype=str)
+                                 == tag]
+    if not len(picked):
         raise ValueError(f"mesh has no boundary edges tagged {tag!r}")
-    indices = np.unique(np.asarray(picked, dtype=np.int64))
+    indices = np.unique(picked)
     xy = mesh.nodes[indices]
     angles = np.mod(np.arctan2(xy[:, 1], xy[:, 0]), 2.0 * np.pi)
     order = np.argsort(angles)

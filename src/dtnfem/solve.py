@@ -11,7 +11,7 @@ where S = V^T A0^{-1} V is formed once at the largest order and the
 capacitance matrix I - D S of order N is its leading (2N+1)^2 block.
 
 Both factor in the nested-dissection order of the mesh pair
-(``SystemBlocks.ordering``); a bare matrix is factored in COLAMD's order.
+(``SystemBlocks.ordering``).
 """
 
 from __future__ import annotations
@@ -47,30 +47,25 @@ def _relative_residual(matrix, x, rhs) -> float:
 
 
 class _Factor:
-    """Sparse LU with SuperLU's partial pivoting: of ``matrix`` in COLAMD's
-    column order or, given an elimination ``ordering``, of P A P^T in that
-    order.  ``solve`` takes and returns vectors in the unpermuted numbering."""
+    """Sparse LU with SuperLU's partial pivoting of P A P^T, the unknowns
+    taken in the elimination ``ordering``.  ``solve`` takes and returns
+    vectors in the unpermuted numbering."""
 
-    def __init__(self, matrix: sp.spmatrix, ordering=None):
+    def __init__(self, matrix: sp.spmatrix, ordering: np.ndarray):
         self._ordering = ordering
-        if ordering is None:
-            self._lu = spla.splu(matrix.tocsc())
-        else:
-            self._lu = spla.splu(matrix.tocsr()[ordering][:, ordering].tocsc(),
-                                 permc_spec="NATURAL")
+        self._lu = spla.splu(matrix.tocsr()[ordering][:, ordering].tocsc(),
+                             permc_spec="NATURAL")
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        if self._ordering is None:
-            return self._lu.solve(rhs)
         x = np.empty_like(rhs)
         x[self._ordering] = self._lu.solve(rhs[self._ordering])
         return x
 
 
-def solve_linear(matrix: sp.spmatrix, rhs: np.ndarray, ordering=None):
-    """Sparse LU with partial pivoting plus a hard post-solve residual check;
-    returns (x, relative residual).  ``ordering`` (``FemSystem.ordering``)
-    sets the elimination order; without one, SuperLU's COLAMD chooses."""
+def solve_linear(matrix: sp.spmatrix, rhs: np.ndarray, ordering: np.ndarray):
+    """Sparse LU with partial pivoting in the elimination ``ordering``
+    (``FemSystem.ordering``) plus a hard post-solve residual check; returns
+    (x, relative residual)."""
     if matrix.shape[0] != matrix.shape[1] or matrix.shape[0] != rhs.shape[0]:
         raise ValueError("system matrix and right-hand side sizes disagree")
     try:

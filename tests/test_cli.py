@@ -204,6 +204,17 @@ def test_mesh_beyond_the_cap_is_a_configuration_error(argv, tmp_path,
     assert not out.exists()
 
 
+def test_inverted_refinement_is_a_configuration_error(tmp_path, capsys):
+    out = tmp_path / "mesh.txt"
+    code = run(["mesh-dump", "--region", "annulus", "--R", "1.05",
+                "--refine", "2", "--output", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "configuration error: refinement level 2 inverts" in err
+    assert "--n-angular" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_subnormal_radius_is_refused_like_any_oversized_mesh(tmp_path,
                                                              capsys):
     """R0 = 5e-324 underflows the interface chord to 0: refused with exit 1

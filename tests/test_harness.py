@@ -4,7 +4,7 @@ from numpy.polynomial.legendre import leggauss
 
 import dtnfem
 from dtnfem import PhysicalConfig, StudyConfig, analytic, harness
-from dtnfem.mesh import _coarse_pair_triangles
+from dtnfem.mesh import _coarse_pair_triangles, triangle_areas
 from dtnfem.solve import FieldSolution
 
 REFERENCE_H = (0.4304, 0.2151, 0.1076)
@@ -300,3 +300,21 @@ def test_mesh_pair_cap_is_the_default_pair_at_level_seven():
 def test_mesh_pair_beyond_the_cap_is_refused(R0, R, n_angular, level):
     with pytest.raises(ValueError):
         harness.build_mesh_pair(R0, R, n_angular, level)
+
+
+@pytest.mark.parametrize("R0,R,n_angular,level", [
+    (1.0, 1.02, 16, 1), (1.0, 1.05, 16, 2), (2.0, 2.3, 8, 1)])
+def test_refinement_that_inverts_a_triangle_is_refused(R0, R, n_angular,
+                                                        level):
+    """Boundary midpoints snapped onto a circle cross a thin band: the level
+    that inverts a triangle is named, and the pair is refused."""
+    harness.build_mesh_pair(R0, R, n_angular, level - 1)
+    with pytest.raises(ValueError,
+                       match=f"refinement level {level} inverts a triangle"):
+        harness.build_mesh_pair(R0, R, n_angular, level)
+
+
+def test_default_pair_builds_up_to_level_four():
+    for level in range(5):
+        for mesh in harness.build_mesh_pair(1.0, 2.0, 16, level):
+            assert np.all(triangle_areas(mesh) > 0.0)

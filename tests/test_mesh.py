@@ -95,6 +95,19 @@ def test_trace_ordering_and_uniformity():
     assert np.max(np.abs(gaps - trace.spacing)) < 1e-12
 
 
+@pytest.mark.parametrize("tag", [M.GAMMA, M.GAMMA_R])
+def test_trace_nodes_match_the_edge_loop(tag):
+    """The masked edge selection picks the nodes a per-edge loop picks."""
+    ann = M.build_annulus_mesh(1.0, 2.0, 16)
+    for _ in range(3):
+        ann = M.refine(ann)
+    picked = [e for e, t in zip(ann.boundary_edges, ann.boundary_tags)
+              if t == tag]
+    nodes = np.unique(np.asarray(picked, dtype=np.int64))
+    trace = M.boundary_trace(ann, tag)
+    assert np.array_equal(np.sort(trace.node_indices), nodes)
+
+
 def test_trace_missing_tag():
     disc = M.build_disc_mesh(1.0, 8)
     with pytest.raises(ValueError):

@@ -35,7 +35,7 @@ def test_identity_system():
     eye = sp.identity(10, format="csr", dtype=complex)
     rhs = np.zeros(10, dtype=complex)
     rhs[0] = 1.0
-    x, residual = solve_linear(eye, rhs)
+    x, residual = solve_linear(eye, rhs, np.arange(10))
     assert np.array_equal(x, rhs)
     assert residual == 0.0
 
@@ -62,17 +62,19 @@ def test_solution_shapes_and_finiteness(system16, solution16):
 
 
 def test_permutation_equivariance(system16):
-    x, _ = solve_linear(system16.matrix, system16.rhs)
+    x, _ = solve_linear(system16.matrix, system16.rhs, system16.ordering)
     rng = np.random.default_rng(3)
     perm = rng.permutation(system16.matrix.shape[0])
     P = sp.coo_matrix((np.ones(len(perm)), (np.arange(len(perm)), perm))).tocsr()
-    xp, _ = solve_linear((P @ system16.matrix @ P.T).tocsr(), P @ system16.rhs)
+    # the permuted system in its own numbering: a different elimination order
+    xp, _ = solve_linear((P @ system16.matrix @ P.T).tocsr(), P @ system16.rhs,
+                         np.arange(len(perm)))
     assert np.max(np.abs(P.T @ xp - x)) < 1e-12 * max(1.0, np.max(np.abs(x)))
 
 
 def test_deterministic_bitwise(system16):
-    a, _ = solve_linear(system16.matrix, system16.rhs)
-    b, _ = solve_linear(system16.matrix, system16.rhs)
+    a, _ = solve_linear(system16.matrix, system16.rhs, system16.ordering)
+    b, _ = solve_linear(system16.matrix, system16.rhs, system16.ordering)
     assert np.array_equal(a, b)
 
 
@@ -81,13 +83,13 @@ def test_singular_system_raises():
     matrix = sp.csr_matrix((n, n), dtype=complex)
     rhs = np.ones(n, dtype=complex)
     with pytest.raises(SingularSystemError):
-        solve_linear(matrix, rhs)
+        solve_linear(matrix, rhs, np.arange(n))
 
 
 def test_size_mismatch_rejected():
     eye = sp.identity(4, format="csr", dtype=complex)
     with pytest.raises(ValueError):
-        solve_linear(eye, np.ones(5, dtype=complex))
+        solve_linear(eye, np.ones(5, dtype=complex), np.arange(4))
 
 
 # ------------------------------------------------------------- evaluation
@@ -294,12 +296,13 @@ def test_ordering_is_a_permutation_with_the_outer_pressures_last(
 
 @pytest.mark.parametrize("level", [1, 2, 3, 4])
 def test_ordered_solve_matches_the_colamd_solve(mesh_pairs, level):
-    """``solve`` (nested dissection) against ``solve_linear`` without an
-    ordering (COLAMD), the path it replaces: 1e-12 relative in the 2-norm."""
+    """``solve`` (nested dissection) against SuperLU in its own COLAMD
+    column order, the order the nested dissection replaced: 1e-12 relative
+    in the 2-norm."""
     system = _level_system(mesh_pairs, level)
     sol = solve(system)
     x = np.concatenate([sol.u_nodal.ravel(), sol.p_nodal])
-    reference, _ = solve_linear(system.matrix, system.rhs)
+    reference = spla.splu(system.matrix.tocsc()).solve(system.rhs)
     assert sol.residual <= 1e-10
     assert np.linalg.norm(x - reference) <= 1e-12 * np.linalg.norm(reference)
 
@@ -331,9 +334,145 @@ def test_singular_system_with_an_ordering_raises(system16):
         solve_linear(matrix, system16.rhs, system16.ordering)
 
 
+def _segment_offsets(part: np.ndarray, width: np.ndarray, n_parts: int):
+    """Unknowns before each entry within its part (entries grouped by part),
+    and the unknowns of every part."""
+    totals = np.bincount(part, weights=width, minlength=n_parts).astype(np.int64)
+    before = np.cumsum(width) - width
+    return before - (np.cumsum(totals) - totals)[part], totals
+
+
+def _nested_dissection_reference(matrix, coords, lead, width, root):
+    """``assembly._nested_dissection`` as first written, level-synchronous:
+    every part of one depth is cut at once, with one sort per depth, and the
+    tree is laid out in postorder (left, right, separator) so a part's
+    positions in ``order`` are fixed when it is cut."""
+    n, m = matrix.shape[0], len(lead)
+    order = np.empty(n, dtype=np.int64)
+    order[n - len(root):] = root
+    node_of = np.full(n, -1, dtype=np.int64)
+    node_of[lead] = np.arange(m)
+    node_of[root] = -1
+    ei = np.repeat(node_of, np.diff(matrix.indptr))
+    ej = node_of[matrix.indices]
+    upper = (ej > ei) & (ei >= 0)
+    ei, ej = ei[upper], ej[upper]
+    rank = np.empty((2, m), dtype=np.int64)   # place along x and along y
+    for axis in range(2):
+        rank[axis, np.argsort(coords[:, axis], kind="stable")] = np.arange(m)
+
+    def place(slots, nodes):
+        order[slots] = lead[nodes]
+        pair = width[nodes] == 2
+        order[slots[pair] + 1] = lead[nodes[pair]] + 1
+
+    # the nodes still to place, grouped by part, and each part's first slot
+    nodes = np.flatnonzero(node_of[lead] >= 0)
+    part = np.zeros(len(nodes), dtype=np.int64)
+    first = np.zeros(1, dtype=np.int64)
+    while len(nodes):
+        counts = np.bincount(part)
+        local, size = _segment_offsets(part, width[nodes], len(counts))
+        leaf = size[part] <= assembly._ND_LEAF
+        place(first[part[leaf]] + local[leaf], nodes[leaf])
+        cut = size > assembly._ND_LEAF
+        if not cut.any():
+            break
+        nodes, part = nodes[~leaf], (np.cumsum(cut) - 1)[part[~leaf]]
+        counts, first = counts[cut], first[cut]
+        starts = np.cumsum(counts) - counts
+
+        # sort each part along its wider axis and cut it at the median node
+        xy = coords[nodes]
+        span = np.maximum.reduceat(xy, starts) - np.minimum.reduceat(xy, starts)
+        wide = (span[:, 1] > span[:, 0]).astype(np.int64)
+        nodes = nodes[np.argsort(part * m + rank[wide[part], nodes])]
+        right = np.arange(len(nodes)) - starts[part] >= counts[part] // 2
+        side = np.full(m, -1, dtype=np.int64)   # 2 part + right, -1 if placed
+        side[nodes] = 2 * part + right
+
+        # separator: the left ends of the edges that cross a cut
+        si, sj = side[ei], side[ej]
+        same = (si >= 0) & (si >> 1 == sj >> 1)
+        crossing = same & (si != sj)
+        is_sep = np.zeros(m, dtype=bool)
+        is_sep[np.where(si & 1, ej, ei)[crossing]] = True
+        keep = same & ~crossing
+        ei, ej = ei[keep], ej[keep]
+
+        # left child, right child, then the separator, inside each part
+        sep = is_sep[nodes]
+        child = side[nodes]
+        sizes = np.bincount(child[~sep], weights=width[nodes[~sep]],
+                            minlength=2 * len(counts)).astype(np.int64)
+        child_first = np.repeat(first, 2)
+        child_first[1::2] += sizes[0::2]
+        sep_part = part[sep]
+        sep_local, _ = _segment_offsets(sep_part, width[nodes[sep]],
+                                        len(counts))
+        place(child_first[2 * sep_part + 1] + sizes[2 * sep_part + 1]
+              + sep_local, nodes[sep])
+
+        kept = sizes > 0
+        nodes, part = nodes[~sep], (np.cumsum(kept) - 1)[child[~sep]]
+        first = child_first[kept]
+    return order
+
+
+def _reference_ordering(disc, ann, blocks):
+    """The reference order from the inputs ``assemble_blocks`` passes."""
+    dof_map = blocks.dof_map
+    ns, nf = dof_map.n_solid_nodes, dof_map.n_fluid_nodes
+    lead = np.append(dof_map.displacement(np.arange(ns), 0),
+                     dof_map.pressure(np.arange(nf)))
+    return _nested_dissection_reference(
+        blocks.matrix0, np.vstack([disc.nodes, ann.nodes]), lead,
+        np.repeat([2, 1], [ns, nf]),
+        dof_map.pressure(blocks.trace_r.node_indices))
+
+
+@pytest.mark.parametrize("n_angular", [8, 10, 16, 24, 32])
+def test_ordering_matches_the_level_synchronous_reference(n_angular):
+    """The recursive order is bitwise the level-synchronous one it replaced,
+    over radii from thin to wide bands and levels 0-3 (0-2 from 24 sectors);
+    a pair whose refinement is refused is skipped."""
+    for R0, R in ((1.0, 1.5), (1.0, 2.0), (0.5, 3.0), (2.0, 2.6)):
+        for level in range(4 if n_angular < 24 else 3):
+            try:
+                disc, ann = harness.build_mesh_pair(R0, R, n_angular, level)
+            except ValueError as exc:
+                assert "inverts a triangle" in str(exc)
+                continue
+            blocks = assembly.assemble_blocks(disc, ann,
+                                              PhysicalConfig(R0=R0, R=R))
+            assert np.array_equal(blocks.ordering,
+                                  _reference_ordering(disc, ann, blocks)), \
+                (R0, R, level)
+
+
+def test_ordering_matches_the_reference_at_level_four():
+    disc, ann = harness.build_mesh_pair(R0, R, N_ANGULAR, 4)
+    blocks = assembly.assemble_blocks(disc, ann, PhysicalConfig())
+    assert np.array_equal(blocks.ordering,
+                          _reference_ordering(disc, ann, blocks))
+
+
+def test_assemble_blocks_leaves_no_reference_cycles(mesh_pairs):
+    """Building the blocks, the order included, leaves no garbage for the
+    cyclic collector: its work arrays are freed when it returns."""
+    disc, ann = mesh_pairs[2]
+    gc.collect()
+    gc.disable()
+    try:
+        assembly.assemble_blocks(disc, ann, PhysicalConfig())
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 # ------------------------------------------------------------- low-rank sweep
 
-def _no_direct_solve(matrix, rhs):
+def _no_direct_solve(matrix, rhs, ordering):
     raise AssertionError("the low-rank sweep fell back to the direct solve")
 
 
@@ -355,7 +494,7 @@ def test_sweep_matches_the_direct_solve(mesh_pairs, monkeypatch, level, k):
         with monkeypatch.context() as patch:
             patch.setattr(solve_module, "solve_linear", _no_direct_solve)
             x, residual = sweep.solve(system)
-        direct, _ = solve_linear(system.matrix, system.rhs)
+        direct, _ = solve_linear(system.matrix, system.rhs, system.ordering)
         assert residual <= 1e-10
         assert np.linalg.norm(x - direct) <= 1e-12 * np.linalg.norm(direct)
         errs = quad.errors(x[:2 * ns].reshape(ns, 2), x[2 * ns:])
