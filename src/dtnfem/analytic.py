@@ -113,8 +113,8 @@ class SeriesSolution:
         return self.pressure_coeffs.shape[0]
 
 
-def solve_modes(config: PhysicalConfig, n_modes: int | None = None,
-                incident_amplitude: float = 1.0) -> SeriesSolution:
+def solve_modes(config: PhysicalConfig,
+                n_modes: int | None = None) -> SeriesSolution:
     """Solve the per-mode 3x3 systems up to the mode budget.
 
     Stops early once coefficient norms fall below 1e-16 of the largest mode;
@@ -137,7 +137,6 @@ def solve_modes(config: PhysicalConfig, n_modes: int | None = None,
         try:
             with np.errstate(over="raise", divide="raise", invalid="raise"):
                 E, e = modal_system(n, config)
-                e = e * incident_amplitude
                 X = np.linalg.solve(E, e)
                 res = np.linalg.norm(E @ X - e)
                 norm = np.linalg.norm(X)

@@ -166,24 +166,20 @@ def _write_field_grid(path, sol, exact, n_radial):
     rows = ["region,x,y,abs_ux_fem,abs_uy_fem,abs_p_fem,"
             "abs_ux_exact,abs_uy_exact,abs_p_exact"]
     thetas = np.linspace(0.0, 2 * np.pi, 2 * n_radial, endpoint=False)
-    for region, r_lo, r_hi in (("solid", 0.0, cfg.R0 * apothem * 0.999),
-                               ("fluid", cfg.R0 * 1.001,
-                                cfg.R * apothem * 0.999)):
+    # FE and oracle magnitudes fill the region's columns, the rest stay nan
+    for region, field, cols, oracle, r_lo, r_hi in (
+            ("solid", "u", [0, 1], analytic.eval_displacement, 0.0,
+             cfg.R0 * apothem * 0.999),
+            ("fluid", "p", [2], analytic.eval_pressure, cfg.R0 * 1.001,
+             cfg.R * apothem * 0.999)):
         radii = r_lo + (r_hi - r_lo) * (np.arange(n_radial) + 0.5) / n_radial
         r, th = (a.ravel() for a in np.meshgrid(radii, thetas, indexing="ij"))
-        if region == "solid":
-            ue = analytic.eval_displacement(exact, r, th)
-        else:
-            pe = analytic.eval_pressure(exact, r, th)
+        exact_abs = np.abs(oracle(exact, r, th)).reshape(r.size, -1)
         for i in range(r.size):
             x, y = r[i] * np.cos(th[i]), r[i] * np.sin(th[i])
-            if region == "solid":
-                u = evaluate_field(sol, (x, y), "u")
-                vals = [abs(u[0]), abs(u[1]), np.nan,
-                        abs(ue[i, 0]), abs(ue[i, 1]), np.nan]
-            else:
-                p = evaluate_field(sol, (x, y), "p")
-                vals = [np.nan, np.nan, abs(p), np.nan, np.nan, abs(pe[i])]
+            vals = np.full(6, np.nan)
+            vals[cols] = np.abs(evaluate_field(sol, (x, y), field))
+            vals[[c + 3 for c in cols]] = exact_abs[i]
             rows.append(f"{region},{x:.8g},{y:.8g}," +
                         ",".join(f"{v:.8g}" for v in vals))
     with open(path, "w") as fh:

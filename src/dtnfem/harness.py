@@ -34,9 +34,11 @@ __all__ = [
 
 CSV_HEADER = "h,N,k,dofs,err_h0,err_h1,seconds"
 
-MAX_LEVEL = 7
-# the default pair (R0=1, R=2, n_angular=16) at MAX_LEVEL: 176 * 4**7
-MAX_TRIANGLES = _coarse_pair_triangles(1.0, 2.0, 16) * 4 ** MAX_LEVEL
+# the default pair (R0=1, R=2, n_angular=16) at level 6, 176 * 4**6: peak RSS
+# of `dtnfem solve` (one BLAS thread) was 709 MB at level 5 and 2,976 MB at
+# level 6; level 7 would need about 12 GB (4.2x a level) on an 8 GB host
+MAX_TRIANGLES = _coarse_pair_triangles(1.0, 2.0, 16) * 4 ** 6
+MAX_LEVEL = 7  # implied: 24 triangles (n_angular 8) * 4**8 is over the cap
 
 _SQRT15 = np.sqrt(15.0)
 _B1 = (6.0 + _SQRT15) / 21.0
@@ -83,52 +85,40 @@ class _ExactQuadrature:
 
     def __init__(self, disc_mesh: Mesh, annulus_mesh: Mesh,
                  exact: analytic.SeriesSolution):
-        self.disc_mesh = disc_mesh
-        self.annulus_mesh = annulus_mesh
-        self.exact = exact
         self.h = max(mesh_size(disc_mesh), mesh_size(annulus_mesh))
         self.dofs = 2 * disc_mesh.num_nodes + annulus_mesh.num_nodes
-
-        self.grads_d, self.area_d = _p1_geometry(disc_mesh)
-        pts = _quad_points(disc_mesh)
-        r = np.hypot(pts[..., 0], pts[..., 1])
-        th = np.arctan2(pts[..., 1], pts[..., 0])
-        # boundary triangles are chords of the circles, so a few quadrature
-        # points sit O(h^2) outside the exact regions: lift the domain guard
-        self.u_ex, self.jac_ex = analytic.eval_displacement(
-            exact, r, th, with_gradient=True, check_domain=False)
-
-        self.grads_a, self.area_a = _p1_geometry(annulus_mesh)
-        pts = _quad_points(annulus_mesh)
-        r = np.hypot(pts[..., 0], pts[..., 1])
-        th = np.arctan2(pts[..., 1], pts[..., 0])
-        self.p_ex, (pr, pt) = analytic.eval_pressure(
-            exact, r, th, with_gradient=True, check_domain=False)
-        c, s = np.cos(th), np.sin(th)
-        self.gp_ex = np.stack([c * pr - s * pt / r, s * pr + c * pt / r],
-                              axis=-1)
+        # per region: triangles, P1 gradients, areas, and the oracle value
+        # and Cartesian gradient at the quadrature points
+        self._regions = []
+        for mesh, oracle in ((disc_mesh, analytic.eval_displacement),
+                             (annulus_mesh, analytic.eval_pressure)):
+            pts = _quad_points(mesh)
+            r = np.hypot(pts[..., 0], pts[..., 1])
+            th = np.arctan2(pts[..., 1], pts[..., 0])
+            # boundary triangles are chords of the circles, so a few
+            # quadrature points sit O(h^2) outside the exact regions: lift the
+            # domain guard
+            value, grad = oracle(exact, r, th, with_gradient=True,
+                                 check_domain=False)
+            if oracle is analytic.eval_pressure:   # polar -> Cartesian
+                (pr, pt), c, s = grad, np.cos(th), np.sin(th)
+                grad = np.stack([c * pr - s * pt / r, s * pr + c * pt / r],
+                                axis=-1)
+            self._regions.append((mesh.triangles, *_p1_geometry(mesh),
+                                  value, grad))
 
     def errors(self, u_nodal: np.ndarray, p_nodal: np.ndarray):
-        tri_d = self.disc_mesh.triangles
-        u_tri = u_nodal[tri_d]                                   # (T, 3, 2)
-        u_h = np.einsum("qa,tac->tqc", _TRI_QP, u_tri)
-        gu_h = np.einsum("tac,tad->tcd", u_tri, self.grads_d)    # (T, 2, 2)
-        du = u_h - self.u_ex
-        dg = gu_h[:, None, :, :] - self.jac_ex
-        l2_d = np.einsum("q,tqc->t", _TRI_QW, np.abs(du) ** 2) @ self.area_d
-        h1_d = np.einsum("q,tqcd->t", _TRI_QW, np.abs(dg) ** 2) @ self.area_d
-
-        tri_a = self.annulus_mesh.triangles
-        p_tri = p_nodal[tri_a]
-        p_h = np.einsum("qa,ta->tq", _TRI_QP, p_tri)
-        gp_h = np.einsum("ta,tad->td", p_tri, self.grads_a)
-        dp = p_h - self.p_ex
-        dgp = gp_h[:, None, :] - self.gp_ex
-        l2_a = np.einsum("q,tq->t", _TRI_QW, np.abs(dp) ** 2) @ self.area_a
-        h1_a = np.einsum("q,tqd->t", _TRI_QW, np.abs(dgp) ** 2) @ self.area_a
-
-        err_h0 = np.sqrt(l2_d + l2_a)
-        err_h1 = np.sqrt(l2_d + l2_a + h1_d + h1_a)
+        l2, h1 = [], []
+        for nodal, (tri, grads, area, value, grad) in zip((u_nodal, p_nodal),
+                                                          self._regions):
+            f_tri = nodal[tri]             # (T, 3, ...): u's component axis
+            f_h = np.einsum("qa,ta...->tq...", _TRI_QP, f_tri)
+            g_h = np.einsum("ta...,tad->t...d", f_tri, grads)
+            for diff, out in ((f_h - value, l2), (g_h[:, None] - grad, h1)):
+                sq = (np.abs(diff) ** 2).reshape(len(tri), len(_TRI_QW), -1)
+                out.append(np.einsum("q,tqc->t", _TRI_QW, sq) @ area)
+        err_h0 = np.sqrt(l2[0] + l2[1])
+        err_h1 = np.sqrt(l2[0] + l2[1] + h1[0] + h1[1])
         return float(err_h0), float(err_h1)
 
     def report(self, sol: FieldSolution, seconds: float) -> ErrorReport:
@@ -176,6 +166,8 @@ class StudyConfig:
                              "(desk-scale guard)")
         if min(self.levels) < 0:
             raise ValueError("refinement levels must be >= 0")
+        if any(len(set(v)) < len(v) for v in (self.levels, self.k_values)):
+            raise ValueError("refinement levels and k values must not repeat")
 
     def physical(self, k: float, N: int | None = None) -> PhysicalConfig:
         return PhysicalConfig(lam=self.lam, mu=self.mu, rho=self.rho,
@@ -184,11 +176,9 @@ class StudyConfig:
                               N=self.N if N is None else N, d=self.d)
 
 
-def build_mesh_pair(R0: float, R: float, n_angular: int, level: int):
-    """Coarse disc/annulus pair refined ``level`` times.  A level outside
-    [0, MAX_LEVEL], or a pair predicted to hold more than MAX_TRIANGLES
-    triangles, is refused before any array is allocated; a refinement that
-    inverts a triangle is refused at that level."""
+def _check_pair_size(R0: float, R: float, n_angular: int, level: int):
+    """Refuse a level outside [0, MAX_LEVEL], or a pair predicted to hold
+    more than MAX_TRIANGLES triangles, without building a mesh."""
     if not 0 <= level <= MAX_LEVEL:
         raise ValueError(f"refinement level must be in [0, {MAX_LEVEL}], "
                          f"got {level}")
@@ -196,6 +186,13 @@ def build_mesh_pair(R0: float, R: float, n_angular: int, level: int):
     if triangles > MAX_TRIANGLES:
         raise ValueError(f"mesh pair of {triangles} triangles exceeds the "
                          f"cap of {MAX_TRIANGLES}")
+
+
+def build_mesh_pair(R0: float, R: float, n_angular: int, level: int):
+    """Coarse disc/annulus pair refined ``level`` times.  A pair refused by
+    ``_check_pair_size`` allocates no array; a refinement that inverts a
+    triangle is refused at that level."""
+    _check_pair_size(R0, R, n_angular, level)
     disc = build_disc_mesh(R0, n_angular)
     annulus = build_annulus_mesh(R0, R, n_angular)
     for lv in range(1, level + 1):
@@ -257,6 +254,7 @@ class ConvergenceResult:
 
 def convergence_study(cfg: StudyConfig) -> ConvergenceResult:
     """h refinement at fixed truncation order cfg.N."""
+    _check_pair_size(cfg.R0, cfg.R, cfg.n_angular, max(cfg.levels))
     reports, residuals, orders = [], [], {}
     for k in cfg.k_values:
         exact = _solve_exact(cfg, k)
@@ -304,6 +302,7 @@ def truncation_study(cfg: StudyConfig) -> TruncationResult:
     factorization as a rank-(2N+1) update (``solve.LowRankSweep``), with the
     direct solve as the fallback; a single order is solved directly.
     """
+    _check_pair_size(cfg.R0, cfg.R, cfg.n_angular, max(cfg.levels))
     reports, plateaus, residuals = [], [], []
     for k in cfg.k_values:
         exact = _solve_exact(cfg, k)

@@ -101,24 +101,6 @@ def _ring_coords(radius: float, n_angular: int) -> np.ndarray:
     return np.column_stack([radius * np.cos(theta), radius * np.sin(theta)])
 
 
-def _band_triangles(inner_base, outer_base, n_angular):
-    """Split each quad of an annular band along the inner->outer diagonal."""
-    tris = []
-    for i in range(n_angular):
-        j = (i + 1) % n_angular
-        a = inner_base + i
-        b = inner_base + j
-        c = outer_base + j
-        d = outer_base + i
-        tris.append((a, d, c))
-        tris.append((a, c, b))
-    return tris
-
-
-def _loop_edges(base, n_angular):
-    return [(base + i, base + (i + 1) % n_angular) for i in range(n_angular)]
-
-
 def _check_angular(n_angular: int):
     if n_angular < MIN_ANGULAR or n_angular % 2 != 0:
         raise ValueError(
@@ -156,6 +138,33 @@ def _coarse_pair_triangles(R0: float, R: float, n_angular: int) -> int:
                         + 2 * _annulus_layers(R0, R, n_angular))
 
 
+def _polar_mesh(radii, tags, n_angular: int, region: str) -> Mesh:
+    """Rings of n_angular nodes at ``radii``, each band between consecutive
+    rings split into quads along the inner->outer diagonal.  A leading radius
+    of 0 is the centre node, fanned to the next ring.  The boundary loops are
+    the inner ring (unless it is the centre) and the outer ring, in the order
+    of ``tags``."""
+    fan = int(radii[0] == 0)
+    i = np.arange(n_angular)
+    j = np.roll(i, -1)
+    bases = fan + n_angular * np.arange(len(radii) - fan)
+    nodes = np.vstack([np.zeros((fan, 2))]
+                      + [_ring_coords(r, n_angular) for r in radii[fan:]])
+    inner, outer = bases[:-1, None], bases[1:, None]
+    a, b, c, d = inner + i, inner + j, outer + j, outer + i
+    bands = np.stack([a, d, c, a, c, b], axis=-1).reshape(-1, 3)
+    fans = np.column_stack([np.zeros_like(i), 1 + i, 1 + j])[:fan * n_angular]
+    loops = bases[[-1] if fan else [0, -1]]
+    return Mesh(
+        nodes=nodes,
+        triangles=np.vstack([fans, bands]).astype(np.int64),
+        boundary_edges=np.vstack([np.column_stack([base + i, base + j])
+                                  for base in loops]).astype(np.int64),
+        boundary_tags=tuple(np.repeat(tags, n_angular).tolist()),
+        region=region,
+    )
+
+
 def build_disc_mesh(R0: float, n_angular: int) -> Mesh:
     """Polar mesh of the disc r <= R0: rings x sectors plus a center fan.
 
@@ -163,27 +172,8 @@ def build_disc_mesh(R0: float, n_angular: int) -> Mesh:
     (near-uniform aspect away from the center).
     """
     n_rings = _disc_rings(R0, n_angular)
-
-    nodes = [np.zeros((1, 2))]
-    for j in range(1, n_rings + 1):
-        nodes.append(_ring_coords(R0 * j / n_rings, n_angular))
-    nodes = np.vstack(nodes)
-
-    tris = [(0, 1 + i, 1 + (i + 1) % n_angular) for i in range(n_angular)]
-    for j in range(1, n_rings):
-        inner = 1 + (j - 1) * n_angular
-        outer = 1 + j * n_angular
-        tris.extend(_band_triangles(inner, outer, n_angular))
-
-    outer_base = 1 + (n_rings - 1) * n_angular
-    edges = _loop_edges(outer_base, n_angular)
-    return Mesh(
-        nodes=nodes,
-        triangles=np.asarray(tris, dtype=np.int64),
-        boundary_edges=np.asarray(edges, dtype=np.int64),
-        boundary_tags=tuple([GAMMA] * n_angular),
-        region=DISC,
-    )
+    radii = [0.0] + [R0 * j / n_rings for j in range(1, n_rings + 1)]
+    return _polar_mesh(radii, [GAMMA], n_angular, DISC)
 
 
 def build_annulus_mesh(R0: float, R: float, n_angular: int) -> Mesh:
@@ -193,23 +183,8 @@ def build_annulus_mesh(R0: float, R: float, n_angular: int) -> Mesh:
     a disc/annulus pair built with the same n_angular coincide bitwise.
     """
     n_layers = _annulus_layers(R0, R, n_angular)
-
     radii = R0 + (R - R0) * np.arange(n_layers + 1) / n_layers
-    nodes = np.vstack([_ring_coords(r, n_angular) for r in radii])
-
-    tris = []
-    for j in range(n_layers):
-        tris.extend(_band_triangles(j * n_angular, (j + 1) * n_angular, n_angular))
-
-    edges = _loop_edges(0, n_angular) + _loop_edges(n_layers * n_angular, n_angular)
-    tags = tuple([GAMMA] * n_angular + [GAMMA_R] * n_angular)
-    return Mesh(
-        nodes=nodes,
-        triangles=np.asarray(tris, dtype=np.int64),
-        boundary_edges=np.asarray(edges, dtype=np.int64),
-        boundary_tags=tags,
-        region=ANNULUS,
-    )
+    return _polar_mesh(radii, [GAMMA, GAMMA_R], n_angular, ANNULUS)
 
 
 def refine(mesh: Mesh) -> Mesh:

@@ -99,13 +99,6 @@ def test_mode_budget_validation():
         analytic.solve_modes(PhysicalConfig(), n_modes=250)
 
 
-def test_zero_incident_amplitude(base_config):
-    sol = analytic.solve_modes(base_config, n_modes=30, incident_amplitude=0.0)
-    assert np.all(sol.pressure_coeffs == 0.0)
-    assert np.all(sol.comp_coeffs == 0.0)
-    assert np.all(sol.shear_coeffs == 0.0)
-
-
 def test_coefficient_decay(base_config, base_series):
     a = np.abs(base_series.pressure_coeffs)
     start = int(np.ceil(base_config.k * base_config.R0)) + 5

@@ -1,9 +1,10 @@
 import warnings
 
+import numpy as np
 import pytest
 
-from dtnfem import cli
-from dtnfem.solve import SingularSystemError
+from dtnfem import analytic, cli, harness
+from dtnfem.solve import SingularSystemError, evaluate_field
 
 
 def run(args):
@@ -48,6 +49,84 @@ def test_solve_summary_and_outputs(tmp_path, capsys, monkeypatch):
     assert rows[0].startswith("region,x,y,")
     assert any(ln.startswith("solid,") for ln in rows)
     assert any(ln.startswith("fluid,") for ln in rows)
+
+
+def test_field_grid_rows_are_the_fe_and_oracle_magnitudes(tmp_path):
+    """Each row holds |evaluate_field| and the oracle magnitude at its
+    printed point in its region's columns, nan in the other region's."""
+    cfg = harness.StudyConfig(d=(0.6, 0.8))
+    _, sol, exact = harness.run_single(cfg, 1.0, cfg.N, 1)
+    n = 5
+    path = tmp_path / "fields.csv"
+    cli._write_field_grid(path, sol, exact, n)
+    rows = path.read_text().splitlines()[1:]
+    assert len(rows) == 4 * n * n
+    apothem = np.cos(np.pi / 32)      # 32 interface edges at level 1
+    nan = [np.nan] * 3
+    want = []
+    for region, r_lo, r_hi in (("solid", 0.0, apothem * 0.999),
+                               ("fluid", 1.001, 2.0 * apothem * 0.999)):
+        radii = r_lo + (r_hi - r_lo) * (np.arange(n) + 0.5) / n
+        thetas = np.linspace(0.0, 2 * np.pi, 2 * n, endpoint=False)
+        r, th = (a.ravel() for a in np.meshgrid(radii, thetas, indexing="ij"))
+        if region == "solid":
+            ue = analytic.eval_displacement(exact, r, th)
+        else:
+            pe = analytic.eval_pressure(exact, r, th)
+        for i in range(r.size):
+            x, y = r[i] * np.cos(th[i]), r[i] * np.sin(th[i])
+            if region == "solid":
+                u = evaluate_field(sol, (x, y), "u")
+                vals = [abs(u[0]), abs(u[1]), np.nan,
+                        abs(ue[i, 0]), abs(ue[i, 1]), np.nan]
+            else:
+                p = evaluate_field(sol, (x, y), "p")
+                vals = nan[:2] + [abs(p)] + nan[:2] + [abs(pe[i])]
+            want.append(f"{region},{x:.8g},{y:.8g}," +
+                        ",".join(f"{v:.8g}" for v in vals))
+    assert rows == want
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--level", "7"], ["mesh-dump", "--refine", "7"],
+    ["convergence", "--n-angular", "32", "--levels", "6"],
+    ["truncation", "--n-angular", "32", "--levels", "6", "--n-max", "2"]])
+def test_level_over_the_memory_cap_builds_no_mesh(argv, tmp_path, capsys,
+                                                  monkeypatch):
+    """The triangle cap is checked before any mesh is built; a study checks
+    its finest level before it solves its first."""
+    def no_mesh(*args):
+        raise AssertionError("a mesh was built")
+
+    for name in ("build_disc_mesh", "build_annulus_mesh"):
+        monkeypatch.setattr(harness, name, no_mesh)
+    if argv[0] in ("convergence", "truncation"):
+        monkeypatch.setattr(harness, "build_mesh_pair", no_mesh)
+    out = tmp_path / "out.txt"
+    assert run([*argv, "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "configuration error: mesh pair of" in err
+    assert "exceeds the cap of 720896" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["convergence", "truncation"])
+@pytest.mark.parametrize("line", ["levels = 1,1", "k = 1,1"])
+def test_repeated_sweep_value_is_a_configuration_error(command, line,
+                                                       tmp_path, capsys):
+    """A repeated level would fit an order through two equal h, a repeated
+    k would repeat every row: both are refused before any work."""
+    config = tmp_path / "sweep.cfg"
+    config.write_text(line + "\n")
+    out = tmp_path / "out.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run([command, "--config", str(config), "--output", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "must not repeat" in err
+    assert "Warning" not in err and "Traceback" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("grid", ["-2", "100000"])

@@ -289,9 +289,14 @@ def test_predicted_triangle_count_is_the_built_count(R0, R, n_angular):
         == disc.num_triangles + ann.num_triangles
 
 
-def test_mesh_pair_cap_is_the_default_pair_at_level_seven():
+def test_mesh_pair_cap_is_the_default_pair_at_level_six():
+    """The triangle cap is the default pair at level 6; the level cap is the
+    last level at which the smallest coarse pair (n_angular 8) fits."""
+    assert harness.MAX_TRIANGLES == 176 * 4 ** 6 == 720_896
+    smallest = _coarse_pair_triangles(1.0, 2.0, 8)
+    assert smallest == 24
+    assert smallest * 4 ** 7 <= harness.MAX_TRIANGLES < smallest * 4 ** 8
     assert harness.MAX_LEVEL == 7
-    assert harness.MAX_TRIANGLES == 176 * 4 ** 7 == 2_883_584
 
 
 @pytest.mark.parametrize("R0,R,n_angular,level", [

@@ -127,6 +127,80 @@ def test_refine_counts_and_tags():
     assert np.allclose(t1.angles[::2], t0.angles, atol=1e-12)
 
 
+def _band_reference(inner_base, outer_base, n_angular):
+    tris = []
+    for i in range(n_angular):
+        j = (i + 1) % n_angular
+        a, b = inner_base + i, inner_base + j
+        c, d = outer_base + j, outer_base + i
+        tris.append((a, d, c))
+        tris.append((a, c, b))
+    return tris
+
+
+def _loop_reference(base, n_angular):
+    return [(base + i, base + (i + 1) % n_angular) for i in range(n_angular)]
+
+
+def _disc_reference(R0, n_angular):
+    """The per-region disc builder that ``M.build_disc_mesh`` replaces: a
+    centre node, rings at R0 * j / n_rings, a fan, then one band a ring."""
+    n_rings = M._disc_rings(R0, n_angular)
+    nodes = [np.zeros((1, 2))]
+    for j in range(1, n_rings + 1):
+        nodes.append(M._ring_coords(R0 * j / n_rings, n_angular))
+    tris = [(0, 1 + i, 1 + (i + 1) % n_angular) for i in range(n_angular)]
+    for j in range(1, n_rings):
+        tris.extend(_band_reference(1 + (j - 1) * n_angular,
+                                    1 + j * n_angular, n_angular))
+    edges = _loop_reference(1 + (n_rings - 1) * n_angular, n_angular)
+    return M.Mesh(nodes=np.vstack(nodes),
+                  triangles=np.asarray(tris, dtype=np.int64),
+                  boundary_edges=np.asarray(edges, dtype=np.int64),
+                  boundary_tags=tuple([M.GAMMA] * n_angular), region=M.DISC)
+
+
+def _annulus_reference(R0, R, n_angular):
+    """The per-region annulus builder that ``M.build_annulus_mesh``
+    replaces: equally spaced rings, one band a layer, GAMMA then GAMMA_R."""
+    n_layers = M._annulus_layers(R0, R, n_angular)
+    radii = R0 + (R - R0) * np.arange(n_layers + 1) / n_layers
+    nodes = np.vstack([M._ring_coords(r, n_angular) for r in radii])
+    tris = []
+    for j in range(n_layers):
+        tris.extend(_band_reference(j * n_angular, (j + 1) * n_angular,
+                                    n_angular))
+    edges = (_loop_reference(0, n_angular)
+             + _loop_reference(n_layers * n_angular, n_angular))
+    return M.Mesh(nodes=nodes, triangles=np.asarray(tris, dtype=np.int64),
+                  boundary_edges=np.asarray(edges, dtype=np.int64),
+                  boundary_tags=tuple([M.GAMMA] * n_angular
+                                      + [M.GAMMA_R] * n_angular),
+                  region=M.ANNULUS)
+
+
+def assert_same_mesh(mesh, want):
+    for name in ("nodes", "triangles", "boundary_edges"):
+        got, ref = getattr(mesh, name), getattr(want, name)
+        assert got.dtype == ref.dtype
+        assert np.array_equal(got, ref)
+    assert mesh.boundary_tags == want.boundary_tags
+    assert all(type(tag) is str for tag in mesh.boundary_tags)
+    assert mesh.region == want.region
+
+
+@pytest.mark.parametrize("R0,R", [(1.0, 2.0), (0.5, 3.0), (2.0, 2.6),
+                                  (1.0, 1.02)])
+@pytest.mark.parametrize("n_angular", [8, 10, 16, 32, 64])
+def test_builders_match_the_per_region_references_bitwise(n_angular, R0, R):
+    """One ring-and-band builder serves both regions: every array, tag and
+    dtype equals the per-region builder's, bitwise."""
+    assert_same_mesh(M.build_disc_mesh(R0, n_angular),
+                     _disc_reference(R0, n_angular))
+    assert_same_mesh(M.build_annulus_mesh(R0, R, n_angular),
+                     _annulus_reference(R0, R, n_angular))
+
+
 def _refine_reference(mesh):
     """The Python-loop red refinement that ``M.refine`` vectorises: a walk
     over the triangles that numbers each edge midpoint when first met."""
