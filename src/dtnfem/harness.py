@@ -15,8 +15,9 @@ import time
 from dataclasses import dataclass, replace
 
 import numpy as np
+import scipy.sparse as sp
 
-from . import analytic
+from . import analytic, special
 from . import dtn as dtn_ops
 from .assembly import _p1_geometry, assemble_blocks, assemble_system
 from .config import PhysicalConfig
@@ -60,7 +61,8 @@ class ErrorReport:
     """One study row.  ``seconds`` is the wall time of the row's
     ``assemble_system`` plus ``solve``; building the mesh, the oracle tables
     and the error reduction are not counted, nor, in a truncation study, the
-    per-curve factorization of A0 that every order's solve reuses."""
+    per-curve set-up that every order's solve reuses: the real factorization
+    of A0 and the columns W = A0^{-1} V (``solve.LowRankSweep``)."""
 
     h: float
     N: int
@@ -76,6 +78,17 @@ def _quad_points(mesh: Mesh) -> np.ndarray:
     return np.einsum("qa,tad->tqd", _TRI_QP, mesh.nodes[mesh.triangles])
 
 
+def _vertex_rows(mesh: Mesh, entries: np.ndarray) -> sp.csr_matrix:
+    """CSR operator whose row t*R + i holds entries[t, i] (T, R, 3) on the
+    vertices of triangle t, in vertex order, so each row sums as the
+    per-triangle einsum over the vertices did."""
+    n_tri, per_tri, _ = entries.shape
+    cols = np.repeat(mesh.triangles, per_tri, axis=0)
+    return sp.csr_matrix(
+        (entries.ravel(), cols.ravel(), np.arange(0, entries.size + 1, 3)),
+        shape=(n_tri * per_tri, mesh.num_nodes))
+
+
 class _ExactQuadrature:
     """Oracle fields frozen at the quadrature points of one mesh pair.
 
@@ -87,8 +100,10 @@ class _ExactQuadrature:
                  exact: analytic.SeriesSolution):
         self.h = max(mesh_size(disc_mesh), mesh_size(annulus_mesh))
         self.dofs = 2 * disc_mesh.num_nodes + annulus_mesh.num_nodes
-        # per region: triangles, P1 gradients, areas, and the oracle value
-        # and Cartesian gradient at the quadrature points
+        # per region: the maps from nodal values to the P1 values at the
+        # quadrature points (rows t, q) and to the constant P1 gradients
+        # (rows t, d), the areas, and the oracle value and Cartesian gradient
+        # at the quadrature points
         self._regions = []
         for mesh, oracle in ((disc_mesh, analytic.eval_displacement),
                              (annulus_mesh, analytic.eval_pressure)):
@@ -104,18 +119,27 @@ class _ExactQuadrature:
                 (pr, pt), c, s = grad, np.cos(th), np.sin(th)
                 grad = np.stack([c * pr - s * pt / r, s * pr + c * pt / r],
                                 axis=-1)
-            self._regions.append((mesh.triangles, *_p1_geometry(mesh),
-                                  value, grad))
+            grads, area = _p1_geometry(mesh)
+            interp = _vertex_rows(mesh, np.broadcast_to(
+                _TRI_QP, (len(area), *_TRI_QP.shape)))
+            self._regions.append((interp,
+                                  _vertex_rows(mesh, grads.transpose(0, 2, 1)),
+                                  area, value, grad))
 
     def errors(self, u_nodal: np.ndarray, p_nodal: np.ndarray):
         l2, h1 = [], []
-        for nodal, (tri, grads, area, value, grad) in zip((u_nodal, p_nodal),
-                                                          self._regions):
-            f_tri = nodal[tri]             # (T, 3, ...): u's component axis
-            f_h = np.einsum("qa,ta...->tq...", _TRI_QP, f_tri)
-            g_h = np.einsum("ta...,tad->t...d", f_tri, grads)
+        for nodal, (interp, grad_op, area, value, grad) in zip(
+                (u_nodal, p_nodal), self._regions):
+            # complex nodes as interleaved reals, (n, 2c): u has c = 2
+            nodal = np.ascontiguousarray(nodal, dtype=complex)
+            real = nodal.reshape(len(nodal), -1).view(float)
+            n_tri = len(area)
+            f_h = (interp @ real).view(complex).reshape(value.shape)
+            g_h = np.moveaxis(
+                (grad_op @ real).view(complex).reshape(n_tri, 2, -1), 1, -1
+            ).reshape(grad.shape[:1] + grad.shape[2:])
             for diff, out in ((f_h - value, l2), (g_h[:, None] - grad, h1)):
-                sq = (np.abs(diff) ** 2).reshape(len(tri), len(_TRI_QW), -1)
+                sq = (np.abs(diff) ** 2).reshape(n_tri, len(_TRI_QW), -1)
                 out.append(np.einsum("q,tqc->t", _TRI_QW, sq) @ area)
         err_h0 = np.sqrt(l2[0] + l2[1])
         err_h1 = np.sqrt(l2[0] + l2[1] + h1[0] + h1[1])
@@ -209,6 +233,21 @@ def _solve_exact(cfg: StudyConfig, k: float) -> analytic.SeriesSolution:
     return analytic.solve_modes(cfg.physical(k), n_modes=cfg.modes)
 
 
+def _solve_oracles(cfg: StudyConfig, k_values, order: int) -> list:
+    """The oracle of every k, then a check that the truncation ``order`` can
+    be built at each k, all before any mesh is built.  An order whose
+    impedance overflows is refused: the largest order that can be built
+    grows with kR (z_170 overflows at k = 1, R = 2, but not at k = 2)."""
+    exacts = [_solve_exact(cfg, k) for k in k_values]
+    for k in k_values:
+        try:
+            special.dtn_coefficients(order, k, cfg.R)
+        except OverflowError as exc:
+            raise ValueError(f"truncation order {order} cannot be built at "
+                             f"k={k:g}, R={cfg.R:g}: {exc}") from None
+    return exacts
+
+
 def _solve_row(disc: Mesh, annulus: Mesh, config: PhysicalConfig,
                blocks=None, sweep=None):
     """Assemble and solve one study row; returns (solution, seconds), the
@@ -230,7 +269,7 @@ def _level_row(cfg: StudyConfig, exact: analytic.SeriesSolution, N: int,
 
 def run_single(cfg: StudyConfig, k: float, N: int, level: int):
     """One full pipeline pass; returns (report, solution, oracle)."""
-    exact = _solve_exact(cfg, k)
+    exact, = _solve_oracles(cfg, (k,), N)
     report, sol = _level_row(cfg, exact, N, level)
     return report, sol, exact
 
@@ -256,8 +295,8 @@ def convergence_study(cfg: StudyConfig) -> ConvergenceResult:
     """h refinement at fixed truncation order cfg.N."""
     _check_pair_size(cfg.R0, cfg.R, cfg.n_angular, max(cfg.levels))
     reports, residuals, orders = [], [], {}
-    for k in cfg.k_values:
-        exact = _solve_exact(cfg, k)
+    for k, exact in zip(cfg.k_values,
+                        _solve_oracles(cfg, cfg.k_values, cfg.N)):
         curve = []
         for level in cfg.levels:
             report, sol = _level_row(cfg, exact, cfg.N, level)
@@ -304,8 +343,8 @@ def truncation_study(cfg: StudyConfig) -> TruncationResult:
     """
     _check_pair_size(cfg.R0, cfg.R, cfg.n_angular, max(cfg.levels))
     reports, plateaus, residuals = [], [], []
-    for k in cfg.k_values:
-        exact = _solve_exact(cfg, k)
+    for k, exact in zip(cfg.k_values,
+                        _solve_oracles(cfg, cfg.k_values, max(cfg.n_values))):
         for level in cfg.levels:
             disc, annulus = build_mesh_pair(cfg.R0, cfg.R, cfg.n_angular,
                                             level)

@@ -5,10 +5,13 @@ solves every order N from one factorization of the N-independent matrix A0
 (``LowRankSweep``): with V = P U, the system A0 - V D V^T is solved by the
 Woodbury identity
 
-    x = y + A0^{-1} V c,   y = A0^{-1} b,   (I - D S) c = D V^T y,
+    x = y + W c,   y = A0^{-1} b,   (I - D S) c = D V^T y,
 
-where S = V^T A0^{-1} V is formed once at the largest order and the
-capacitance matrix I - D S of order N is its leading (2N+1)^2 block.
+with W = A0^{-1} V and S = V^T W.  The per-curve set-up factors A0 and
+forms y, W and S at the largest order; W is kept, so order N takes the
+leading 2N+1 columns of W and the leading (2N+1)^2 block of the capacitance
+matrix I - D S, and solves no system with A0.  A0 and V are real, so A0 is
+factored in real arithmetic and W is real.
 
 Both factor in the nested-dissection order of the mesh pair
 (``SystemBlocks.ordering``).
@@ -33,7 +36,7 @@ __all__ = ["FieldSolution", "LowRankSweep", "SingularSystemError", "solve",
 
 RESIDUAL_TOL = 1e-10
 LOCATE_TOL = 1e-10   # smallest barycentric that still counts as inside
-_SWEEP_BLOCK = 8     # columns of V per A0 solve while forming S
+_SWEEP_BLOCK = 8     # columns of V per A0 solve while forming W
 
 
 class SingularSystemError(RuntimeError):
@@ -85,8 +88,8 @@ def solve_linear(matrix: sp.spmatrix, rhs: np.ndarray, ordering: np.ndarray):
 
 class LowRankSweep:
     """Every truncation order N <= config.N of one SystemBlocks from a single
-    LU of A0, each order by the Woodbury identity (module docstring) for the
-    load of the blocks.
+    real LU of A0, each order by the Woodbury identity (module docstring) for
+    the load of the blocks.
 
     A0 has a natural (Neumann) condition at R, so it can be singular at
     isolated k while every A0 - P B P^T is not: when SuperLU cannot factor
@@ -99,24 +102,30 @@ class LowRankSweep:
         self._dofs = blocks.dof_map.pressure(blocks.trace_r.node_indices)
         self._columns, self._weights = dtn_ops.dtn_factor(
             blocks.trace_r, config.k, config.R, config.N)
-        a0 = blocks.matrix0.copy()
-        a0.eliminate_zeros()     # the empty DtN slots would only add fill
+        # A0 is real; the ``real`` of a complex CSR matrix shares its data,
+        # so copy before dropping the empty DtN slots (they would only add
+        # fill), or blocks.matrix0 itself would lose them
+        a0 = blocks.matrix0.real.copy()
+        a0.eliminate_zeros()
         try:
             self._lu = _Factor(a0, blocks.ordering)
         except RuntimeError:     # A0 exactly singular: every order goes direct
             self._lu = None
             return
-        # S = V^T A0^{-1} V, a few columns at a time; A0^{-1} V is not kept
-        n, r = blocks.matrix0.shape[0], self._columns.shape[1]
-        self._s = np.empty((r, r), dtype=complex)
+        # W = A0^{-1} V, a few columns at a time, in Fortran order so that an
+        # order's leading columns are one contiguous block
+        n, r = a0.shape[0], self._columns.shape[1]
+        self._w = np.empty((n, r), order="F")
         for j in range(0, r, _SWEEP_BLOCK):
             cols = self._columns[:, j:j + _SWEEP_BLOCK]
-            v = np.zeros((n, cols.shape[1]), dtype=complex)
+            v = np.zeros((n, cols.shape[1]))
             v[self._dofs] = cols
-            self._s[:, j:j + _SWEEP_BLOCK] = \
-                self._columns.T @ self._lu.solve(v)[self._dofs]
+            self._w[:, j:j + _SWEEP_BLOCK] = self._lu.solve(v)
+        self._s = self._columns.T @ self._w[self._dofs]
         # y = A0^{-1} b: assemble_system hands every order a copy of this load
-        self._y = self._lu.solve(blocks.load.astype(complex))
+        y = self._lu.solve(np.column_stack([blocks.load.real,
+                                            blocks.load.imag]))
+        self._y = y[:, 0] + 1j * y[:, 1]
 
     def _woodbury(self, N: int):
         """x of order N for the load of the blocks, or None when the
@@ -128,9 +137,8 @@ class LowRankSweep:
                                 d * (u.T @ y[self._dofs]))
         except np.linalg.LinAlgError:
             return None
-        v = np.zeros_like(y)
-        v[self._dofs] = u @ c
-        return y + self._lu.solve(v)
+        w = self._w[:, :r]   # W @ c would copy W to complex on every order
+        return y + (w @ c.real + 1j * (w @ c.imag))
 
     def solve(self, system: FemSystem):
         """(x, relative residual) for one order, under the same gate as

@@ -129,6 +129,37 @@ def test_repeated_sweep_value_is_a_configuration_error(command, line,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["truncation", "--levels", "1", "--n-max", "170"],
+    ["solve", "--level", "0", "--order", "170"],
+    ["convergence", "--levels", "1", "--order", "170"]])
+def test_order_past_the_impedance_overflow_builds_no_mesh(argv, tmp_path,
+                                                          capsys,
+                                                          monkeypatch):
+    """At k = 1, R = 2 the impedance z_170 overflows: the order is refused
+    as a configuration error, named, before any mesh is built."""
+    def no_mesh(*args):
+        raise AssertionError("a mesh was built")
+
+    monkeypatch.setattr(harness, "build_mesh_pair", no_mesh)
+    out = tmp_path / "out.csv"
+    assert run([*argv, "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "configuration error: truncation order 170" in err
+    assert "z_170" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["--n-max", "169"],
+                                  ["--n-max", "170", "--k", "2"]])
+def test_largest_buildable_order_runs(argv, tmp_path):
+    """The refusal follows kR: z_169 is finite at k = 1 and z_170 at k = 2."""
+    out = tmp_path / "trunc.csv"
+    assert run(["truncation", "--levels", "1", *argv,
+                "--output", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 1 + int(argv[1]) + 1
+
+
 @pytest.mark.parametrize("grid", ["-2", "100000"])
 def test_grid_is_checked_before_the_solve(grid, tmp_path, capsys):
     """A negative grid, or one of more than MAX_GRID_POINTS points, is

@@ -29,6 +29,43 @@ def interpolant_solution(exact, disc, annulus):
 
 # ------------------------------------------------------------- error norms
 
+def _einsum_errors(quad, disc, annulus, u_nodal, p_nodal):
+    """The per-triangle einsum reduction that ``_ExactQuadrature.errors``
+    replaces with two sparse operators per region."""
+    l2, h1 = [], []
+    for mesh, nodal, (*_, value, grad) in zip((disc, annulus),
+                                              (u_nodal, p_nodal),
+                                              quad._regions):
+        tri = mesh.triangles
+        grads, area = harness._p1_geometry(mesh)
+        f_tri = nodal[tri]
+        f_h = np.einsum("qa,ta...->tq...", harness._TRI_QP, f_tri)
+        g_h = np.einsum("ta...,tad->t...d", f_tri, grads)
+        for diff, out in ((f_h - value, l2), (g_h[:, None] - grad, h1)):
+            sq = (np.abs(diff) ** 2).reshape(len(tri), len(harness._TRI_QW),
+                                             -1)
+            out.append(np.einsum("q,tqc->t", harness._TRI_QW, sq) @ area)
+    return (float(np.sqrt(l2[0] + l2[1])),
+            float(np.sqrt(l2[0] + l2[1] + h1[0] + h1[1])))
+
+
+@pytest.mark.parametrize("k", [1.0, 4.0])
+def test_sparse_error_reduction_is_the_einsum_bitwise(mesh_pairs, k):
+    """The interpolation and gradient operators sum each triangle's vertices
+    in the einsum's order, so both norms are bitwise the reference's."""
+    exact = analytic.solve_modes(PhysicalConfig(k=k))
+    rng = np.random.default_rng(int(k))
+    for level in (1, 2, 3):
+        disc, ann = mesh_pairs[level]
+        quad = harness._ExactQuadrature(disc, ann, exact)
+        for _ in range(3):
+            u = (rng.standard_normal((disc.num_nodes, 2))
+                 + 1j * rng.standard_normal((disc.num_nodes, 2)))
+            p = (rng.standard_normal(ann.num_nodes)
+                 + 1j * rng.standard_normal(ann.num_nodes))
+            assert quad.errors(u, p) == _einsum_errors(quad, disc, ann, u, p)
+
+
 def test_error_norms_config_mismatch(base_series, mesh_pairs):
     disc, ann = mesh_pairs[1]
     other = analytic.solve_modes(PhysicalConfig(k=2.0))

@@ -502,6 +502,34 @@ def test_sweep_matches_the_direct_solve(mesh_pairs, monkeypatch, level, k):
         assert errs == pytest.approx(want, rel=1e-10, abs=0)
 
 
+@pytest.mark.parametrize("k", [1.0, 2.0])
+@pytest.mark.parametrize("level", [1, 2, 3])
+def test_sweep_solves_no_system_per_order_and_keeps_matrix0(
+        mesh_pairs, monkeypatch, level, k):
+    """Once the sweep is built, orders 1..20 call no solve of its factor and
+    take no fallback, and A0 is left bitwise as it was: the real factor is
+    built from a copy, not from the ``real`` view that shares its data."""
+    disc, ann = mesh_pairs[level]
+    blocks = assembly.assemble_blocks(disc, ann, PhysicalConfig(k=k))
+    a0 = blocks.matrix0
+    before = [a.copy() for a in (a0.indptr, a0.indices, a0.data)]
+    sweep = LowRankSweep(blocks, PhysicalConfig(k=k, N=20))
+    solves = []
+    factor_solve = solve_module._Factor.solve
+    monkeypatch.setattr(solve_module, "solve_linear", _no_direct_solve)
+    monkeypatch.setattr(solve_module._Factor, "solve",
+                        lambda lu, rhs: solves.append(rhs.shape)
+                        or factor_solve(lu, rhs))
+    for N in range(1, 21):
+        system = assembly.assemble_system(disc, ann, PhysicalConfig(k=k, N=N),
+                                          blocks)
+        _, residual = sweep.solve(system)
+        assert residual <= 1e-10
+    assert solves == []
+    for old, new in zip(before, (a0.indptr, a0.indices, a0.data)):
+        assert old.dtype == new.dtype and np.array_equal(old, new)
+
+
 class _WrongFactor:
     """An LU whose solves are off by half: the residual gate must catch it."""
 
