@@ -20,7 +20,7 @@ per edge.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -275,15 +275,20 @@ def _nested_dissection(matrix: sp.csr_matrix, coords: np.ndarray,
 
 @dataclass(frozen=True)
 class SystemBlocks:
-    """N-independent pieces of the system, reusable across truncation orders.
+    """N-independent pieces of the systems of one mesh pair and one physics,
+    reusable across truncation orders.
 
-    ``matrix0`` is A0 = [[A1, C4], [C3, A2]]; its pattern also holds the
-    dense GAMMA_R pressure block, explicitly zero where A2 has no entry, and
-    ``dtn_slots`` are the row-major positions of that block in its data.
+    ``config`` is the physics the blocks were assembled with; its N is not
+    used.  ``matrix0`` is A0 = [[A1, C4], [C3, A2]]; its pattern also holds
+    the dense GAMMA_R pressure block, explicitly zero where A2 has no entry,
+    and ``dtn_slots`` are the row-major positions of that block in its data.
     ``ordering`` is the elimination order of every factorization of the
     pair's systems (``_nested_dissection``, the GAMMA_R pressures last).
     """
 
+    disc_mesh: Mesh
+    annulus_mesh: Mesh
+    config: PhysicalConfig
     matrix0: sp.csr_matrix
     dtn_slots: np.ndarray
     load: np.ndarray
@@ -331,19 +336,18 @@ def assemble_blocks(disc_mesh: Mesh, annulus_mesh: Mesh,
     ordering = _nested_dissection(
         matrix0, np.vstack([disc_mesh.nodes, annulus_mesh.nodes]), lead,
         np.repeat([2, 1], [ns, nf]), dofs)
-    return SystemBlocks(matrix0=matrix0,
+    return SystemBlocks(disc_mesh=disc_mesh, annulus_mesh=annulus_mesh,
+                        config=config, matrix0=matrix0,
                         dtn_slots=np.searchsorted(keys, rows * n + cols),
                         load=load, dof_map=dof_map, trace_r=trace_r,
                         ordering=ordering)
 
 
-def assemble_system(disc_mesh: Mesh, annulus_mesh: Mesh,
-                    config: PhysicalConfig,
-                    blocks: SystemBlocks | None = None) -> FemSystem:
-    """Complete complex sparse system A0 - P B P^T for the truncation order
-    config.N; pass precomputed ``blocks`` when sweeping over N."""
-    if blocks is None:
-        blocks = assemble_blocks(disc_mesh, annulus_mesh, config)
+def assemble_system(blocks: SystemBlocks, N: int) -> FemSystem:
+    """Complete complex sparse system A0 - P B P^T of the blocks' mesh pair
+    and physics at the truncation order N.  The system holds no reference
+    to the blocks, so A0 can be freed before the system is factored."""
+    config = replace(blocks.config, N=N)
     b_dtn = dtn_ops.assemble_dtn_matrix(blocks.trace_r, config.k, config.R,
                                         config.N)
     a0 = blocks.matrix0
@@ -351,6 +355,6 @@ def assemble_system(disc_mesh: Mesh, annulus_mesh: Mesh,
     data[blocks.dtn_slots] -= b_dtn.ravel()
     matrix = sp.csr_matrix((data, a0.indices, a0.indptr), shape=a0.shape)
     return FemSystem(matrix=matrix, rhs=blocks.load.copy(),
-                     dof_map=blocks.dof_map, disc_mesh=disc_mesh,
-                     annulus_mesh=annulus_mesh, config=config,
+                     dof_map=blocks.dof_map, disc_mesh=blocks.disc_mesh,
+                     annulus_mesh=blocks.annulus_mesh, config=config,
                      ordering=blocks.ordering)

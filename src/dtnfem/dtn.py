@@ -40,17 +40,11 @@ def _check_uniform(trace: BoundaryTrace) -> float:
     return trace.spacing
 
 
-def _mode_coefficients(k: float, radius: float, order: int) -> np.ndarray:
-    if order < 0 or order != int(order):
-        raise ValueError("truncation order must be a non-negative integer")
-    return special.dtn_coefficients(order, k, radius)
-
-
 def dtn_factor(trace: BoundaryTrace, k: float, radius: float, order: int):
     """Real columns U, shape (m, 2*order+1), and complex weights d with
     B = U diag(d) U^T; column order [n=0, cos 1, sin 1, ..., cos N, sin N]."""
     delta = _check_uniform(trace)
-    z = _mode_coefficients(k, radius, order)
+    z = special.dtn_coefficients(order, k, radius)
     n = np.arange(1, order + 1)
     w = 4.0 * np.sin(n * delta / 2.0) ** 2 / (n ** 2 * delta)
     columns = np.empty((len(trace), 2 * order + 1))
@@ -101,7 +95,7 @@ def truncation_decay_check(k: float, R0: float, radius: float,
                          "(orders -M..M)")
     M = coefficients.shape[0] // 2
     n = np.arange(-M, M + 1)
-    z = _mode_coefficients(k, radius, M)
+    z = special.dtn_coefficients(M, k, radius)
     weight = (1.0 + n.astype(float) ** 2) ** -0.5
     terms = weight * np.abs(z[np.abs(n)] * coefficients) ** 2
 

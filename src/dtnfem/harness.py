@@ -58,11 +58,12 @@ _TRI_QW = np.array([9 / 40,
 
 @dataclass(frozen=True)
 class ErrorReport:
-    """One study row.  ``seconds`` is the wall time of the row's
-    ``assemble_system`` plus ``solve``; building the mesh, the oracle tables
-    and the error reduction are not counted, nor, in a truncation study, the
-    per-curve set-up that every order's solve reuses: the real factorization
-    of A0 and the columns W = A0^{-1} V (``solve.LowRankSweep``)."""
+    """One study row.  ``seconds`` is the wall time of the row's assembly
+    plus ``solve``; building the mesh, the oracle tables and the error
+    reduction are not counted, nor, in a truncation study, the per-curve
+    set-up that every order's solve reuses: the blocks, the real
+    factorization of A0 and the columns W = A0^{-1} V
+    (``solve.LowRankSweep``)."""
 
     h: float
     N: int
@@ -193,11 +194,10 @@ class StudyConfig:
         if any(len(set(v)) < len(v) for v in (self.levels, self.k_values)):
             raise ValueError("refinement levels and k values must not repeat")
 
-    def physical(self, k: float, N: int | None = None) -> PhysicalConfig:
+    def physical(self, k: float) -> PhysicalConfig:
         return PhysicalConfig(lam=self.lam, mu=self.mu, rho=self.rho,
                               rho_f=self.rho_f, omega=self.omega, k=k,
-                              R0=self.R0, R=self.R,
-                              N=self.N if N is None else N, d=self.d)
+                              R0=self.R0, R=self.R, N=self.N, d=self.d)
 
 
 def _check_pair_size(R0: float, R: float, n_angular: int, level: int):
@@ -248,22 +248,16 @@ def _solve_oracles(cfg: StudyConfig, k_values, order: int) -> list:
     return exacts
 
 
-def _solve_row(disc: Mesh, annulus: Mesh, config: PhysicalConfig,
-               blocks=None, sweep=None):
-    """Assemble and solve one study row; returns (solution, seconds), the
-    only timing a row reports."""
-    t0 = time.perf_counter()
-    sol = solve(assemble_system(disc, annulus, config, blocks), sweep)
-    return sol, time.perf_counter() - t0
-
-
 def _level_row(cfg: StudyConfig, exact: analytic.SeriesSolution, N: int,
                level: int):
     """Mesh pair, solve, then errors: returns (report, solution).  The
-    oracle tables are built only after the factorization is freed."""
+    blocks die inside the timed statement, before the factorization, and
+    the oracle tables are built only after the factorization is freed."""
     disc, annulus = build_mesh_pair(cfg.R0, cfg.R, cfg.n_angular, level)
-    sol, seconds = _solve_row(disc, annulus,
-                              cfg.physical(exact.config.k, N))
+    t0 = time.perf_counter()
+    sol = solve(assemble_system(assemble_blocks(disc, annulus, exact.config),
+                                N))
+    seconds = time.perf_counter() - t0
     return _ExactQuadrature(disc, annulus, exact).report(sol, seconds), sol
 
 
@@ -348,15 +342,16 @@ def truncation_study(cfg: StudyConfig) -> TruncationResult:
         for level in cfg.levels:
             disc, annulus = build_mesh_pair(cfg.R0, cfg.R, cfg.n_angular,
                                             level)
-            blocks = assemble_blocks(disc, annulus, cfg.physical(k))
-            sweep = (LowRankSweep(blocks, cfg.physical(k, max(cfg.n_values)))
+            blocks = assemble_blocks(disc, annulus, exact.config)
+            sweep = (LowRankSweep(blocks, max(cfg.n_values))
                      if len(set(cfg.n_values)) > 1 else None)
+            # oracle tables before the first row: no order pays for them
             quad = _ExactQuadrature(disc, annulus, exact)
             curve = []
             for N in cfg.n_values:
-                sol, seconds = _solve_row(disc, annulus, cfg.physical(k, N),
-                                          blocks, sweep)
-                curve.append(quad.report(sol, seconds))
+                t0 = time.perf_counter()
+                sol = solve(assemble_system(blocks, N), sweep)
+                curve.append(quad.report(sol, time.perf_counter() - t0))
                 residuals.append(sol.residual)
             reports.extend(curve)
             errs = np.array([r.err_h0 for r in curve])

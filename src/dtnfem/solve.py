@@ -87,7 +87,7 @@ def solve_linear(matrix: sp.spmatrix, rhs: np.ndarray, ordering: np.ndarray):
 
 
 class LowRankSweep:
-    """Every truncation order N <= config.N of one SystemBlocks from a single
+    """Every truncation order N <= ``order`` of one SystemBlocks from a single
     real LU of A0, each order by the Woodbury identity (module docstring) for
     the load of the blocks.
 
@@ -97,11 +97,11 @@ class LowRankSweep:
     full system matrix, that order is solved by ``solve_linear`` instead.
     """
 
-    def __init__(self, blocks: SystemBlocks, config: PhysicalConfig):
-        self.order = config.N
+    def __init__(self, blocks: SystemBlocks, order: int):
+        self.order = order
         self._dofs = blocks.dof_map.pressure(blocks.trace_r.node_indices)
         self._columns, self._weights = dtn_ops.dtn_factor(
-            blocks.trace_r, config.k, config.R, config.N)
+            blocks.trace_r, blocks.config.k, blocks.config.R, order)
         # A0 is real; the ``real`` of a complex CSR matrix shares its data,
         # so copy before dropping the empty DtN slots (they would only add
         # fill), or blocks.matrix0 itself would lose them

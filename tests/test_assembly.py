@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -254,7 +256,8 @@ def test_load_rotation_symmetry(pair16):
 
 def test_system_dimension_and_pattern(pair16):
     disc, ann = pair16
-    system = assembly.assemble_system(disc, ann, PhysicalConfig())
+    system = assembly.assemble_system(
+        assembly.assemble_blocks(disc, ann, PhysicalConfig()), 20)
     assert system.matrix.shape[0] == 2 * disc.num_nodes + ann.num_nodes
     assert system.rhs.shape == (system.matrix.shape[0],)
     pattern = system.matrix.copy()
@@ -265,7 +268,8 @@ def test_system_dimension_and_pattern(pair16):
 def test_system_real_blocks(pair16):
     # only the absorbing-boundary block is complex
     disc, ann = pair16
-    system = assembly.assemble_system(disc, ann, PhysicalConfig())
+    system = assembly.assemble_system(
+        assembly.assemble_blocks(disc, ann, PhysicalConfig()), 20)
     ns2 = 2 * disc.num_nodes
     imag = system.matrix.imag.tocoo()
     nz = imag.data != 0.0
@@ -278,20 +282,31 @@ def test_system_real_blocks(pair16):
 
 
 def test_system_blocks_reused(pair16):
+    """The blocks do not depend on the N of their config: a system of order
+    8 is bitwise the same from blocks built at N = 8 and at N = 20."""
     disc, ann = pair16
-    cfg = PhysicalConfig(N=8)
-    blocks = assembly.assemble_blocks(disc, ann, cfg)
-    direct = assembly.assemble_system(disc, ann, cfg)
-    reused = assembly.assemble_system(disc, ann, cfg, blocks)
+    direct = assembly.assemble_system(
+        assembly.assemble_blocks(disc, ann, PhysicalConfig(N=8)), 8)
+    reused = assembly.assemble_system(
+        assembly.assemble_blocks(disc, ann, PhysicalConfig(N=20)), 8)
     assert (direct.matrix - reused.matrix).nnz == 0
     assert np.array_equal(direct.rhs, reused.rhs)
+
+
+def test_system_takes_its_meshes_and_physics_from_the_blocks(pair16):
+    disc, ann = pair16
+    blocks = assembly.assemble_blocks(disc, ann, PhysicalConfig(k=2.0, N=20))
+    assert blocks.disc_mesh is disc and blocks.annulus_mesh is ann
+    system = assembly.assemble_system(blocks, 5)
+    assert system.config == dataclasses.replace(blocks.config, N=5)
+    assert system.disc_mesh is disc and system.annulus_mesh is ann
 
 
 def test_system_is_matrix0_minus_the_dtn_block(pair16):
     disc, ann = pair16
     cfg = PhysicalConfig(N=8)
     blocks = assembly.assemble_blocks(disc, ann, cfg)
-    system = assembly.assemble_system(disc, ann, cfg, blocks)
+    system = assembly.assemble_system(blocks, cfg.N)
     dofs = blocks.dof_map.pressure(blocks.trace_r.node_indices)
     want = blocks.matrix0.toarray()
     want[np.ix_(dofs, dofs)] -= dtn.assemble_dtn_matrix(blocks.trace_r, cfg.k,
@@ -307,7 +322,8 @@ def test_galerkin_consistency_rate(base_config, base_series):
     duals = []
     for level in (1, 2):
         disc, ann = harness.build_mesh_pair(1.0, 2.0, 16, level)
-        system = assembly.assemble_system(disc, ann, base_config)
+        system = assembly.assemble_system(
+            assembly.assemble_blocks(disc, ann, base_config), base_config.N)
         r = np.linalg.norm(disc.nodes, axis=1)
         t = np.arctan2(disc.nodes[:, 1], disc.nodes[:, 0])
         u = analytic.eval_displacement(base_series, np.minimum(r, 1.0), t)
@@ -329,7 +345,8 @@ def test_continuity_constant_bounded(base_config):
     cs = []
     for level in (1, 2):
         disc, ann = harness.build_mesh_pair(1.0, 2.0, 16, level)
-        system = assembly.assemble_system(disc, ann, base_config)
+        system = assembly.assemble_system(
+            assembly.assemble_blocks(disc, ann, base_config), base_config.N)
         gram = h1_gram(disc, ann).tocsr()
         cmax = 0.0
         for _ in range(20):

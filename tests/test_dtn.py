@@ -108,12 +108,18 @@ def test_operator_moment_row_zero(trace):
 
 
 def test_nonuniform_trace_rejected(trace):
+    """A non-uniform trace, and a negative, non-integer or too large order,
+    are refused by both the factor and the matrix."""
     angles = trace.angles.copy()
     angles[3] += 1e-6
     bad = BoundaryTrace(node_indices=trace.node_indices.copy(),
                         angles=angles, radius=trace.radius)
     with pytest.raises(ValueError):
         dtn.dtn_factor(bad, 1.0, 2.0, 3)
+    for build in (dtn.dtn_factor, dtn.assemble_dtn_matrix):
+        for order in (-1, 2.5, special.MAX_ORDER + 1):
+            with pytest.raises(ValueError):
+                build(trace, 1.0, 2.0, order)
 
 
 @settings(max_examples=30, deadline=None)

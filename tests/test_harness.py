@@ -1,11 +1,18 @@
+import gc
+import importlib
+
 import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
 
 import dtnfem
 from dtnfem import PhysicalConfig, StudyConfig, analytic, harness
+from dtnfem.assembly import SystemBlocks
 from dtnfem.mesh import _coarse_pair_triangles, triangle_areas
 from dtnfem.solve import FieldSolution
+
+# the module, not the ``solve`` function the package re-exports
+solve_module = importlib.import_module("dtnfem.solve")
 
 REFERENCE_H = (0.4304, 0.2151, 0.1076)
 
@@ -285,6 +292,38 @@ def test_truncation_row_at_study_order_is_the_convergence_row(
         assert (trunc.h, trunc.dofs) == (conv.h, conv.dofs)
         assert trunc.err_h0 == pytest.approx(conv.err_h0, rel=1e-10, abs=0)
         assert trunc.err_h1 == pytest.approx(conv.err_h1, rel=1e-10, abs=0)
+
+
+def _live(kind) -> int:
+    return sum(isinstance(obj, kind) for obj in gc.get_objects())
+
+
+def test_single_order_row_frees_the_blocks_before_the_factorization(
+        monkeypatch):
+    """A single-order row builds its blocks inside the timed assembly and
+    drops them there, so A0 is freed before the system is factored, and it
+    builds the oracle tables only after the factorization is freed: at the
+    factorization no SystemBlocks or _ExactQuadrature is alive, and at the
+    oracle-table build no SystemBlocks."""
+    quad_type = harness._ExactQuadrature
+    seen = []
+
+    def counting(owner, stage):
+        init = owner.__init__
+
+        def wrapped(self, *args):
+            seen.append((stage, _live(SystemBlocks) - blocks0,
+                         _live(quad_type) - quad0))
+            init(self, *args)
+        monkeypatch.setattr(owner, "__init__", wrapped)
+
+    counting(solve_module._Factor, "factor")
+    counting(quad_type, "oracle")
+    gc.collect()
+    blocks0, quad0 = _live(SystemBlocks), _live(quad_type)
+    harness.run_single(StudyConfig(), 1.0, 20, 1)
+    # the table being built is itself alive at its own __init__
+    assert seen == [("factor", 0, 0), ("oracle", 0, 1)]
 
 
 def test_csv_output(tmp_path, convergence_result):

@@ -23,7 +23,8 @@ R0, R, N_ANGULAR = 1.0, 2.0, 16
 def system16():
     disc = M.build_disc_mesh(1.0, 16)
     ann = M.build_annulus_mesh(1.0, 2.0, 16)
-    return assembly.assemble_system(disc, ann, PhysicalConfig())
+    return assembly.assemble_system(
+        assembly.assemble_blocks(disc, ann, PhysicalConfig()), 20)
 
 
 @pytest.fixture(scope="module")
@@ -145,7 +146,8 @@ def test_evaluate_unknown_field_rejected(solution16):
 def test_locators_die_with_the_solution():
     disc = M.build_disc_mesh(1.0, 16)
     ann = M.build_annulus_mesh(1.0, 2.0, 16)
-    sol = solve(assembly.assemble_system(disc, ann, PhysicalConfig()))
+    sol = solve(assembly.assemble_system(
+        assembly.assemble_blocks(disc, ann, PhysicalConfig()), 20))
     assert np.isfinite(evaluate_field(sol, (1.5, 0.0), "p"))
     assert np.all(np.isfinite(evaluate_field(sol, (0.2, 0.1), "u")))
     mesh_ref = weakref.ref(ann)
@@ -280,7 +282,8 @@ def test_locator_refuses_points_off_the_mesh(mesh_pairs, level):
 def _level_system(mesh_pairs, level):
     disc, ann = (mesh_pairs[level] if level in mesh_pairs
                  else harness.build_mesh_pair(R0, R, N_ANGULAR, level))
-    return assembly.assemble_system(disc, ann, PhysicalConfig())
+    return assembly.assemble_system(
+        assembly.assemble_blocks(disc, ann, PhysicalConfig()), 20)
 
 
 @pytest.mark.parametrize("level", [0, 1, 2, 3])
@@ -484,13 +487,12 @@ def test_sweep_matches_the_direct_solve(mesh_pairs, monkeypatch, level, k):
     norms to 1e-10, without taking the fallback."""
     disc, ann = mesh_pairs[level]
     blocks = assembly.assemble_blocks(disc, ann, PhysicalConfig(k=k))
-    sweep = LowRankSweep(blocks, PhysicalConfig(k=k, N=20))
+    sweep = LowRankSweep(blocks, 20)
     quad = harness._ExactQuadrature(
         disc, ann, analytic.solve_modes(PhysicalConfig(k=k)))
     ns = blocks.dof_map.n_solid_nodes
     for N in range(1, 21):
-        system = assembly.assemble_system(disc, ann, PhysicalConfig(k=k, N=N),
-                                          blocks)
+        system = assembly.assemble_system(blocks, N)
         with monkeypatch.context() as patch:
             patch.setattr(solve_module, "solve_linear", _no_direct_solve)
             x, residual = sweep.solve(system)
@@ -513,7 +515,7 @@ def test_sweep_solves_no_system_per_order_and_keeps_matrix0(
     blocks = assembly.assemble_blocks(disc, ann, PhysicalConfig(k=k))
     a0 = blocks.matrix0
     before = [a.copy() for a in (a0.indptr, a0.indices, a0.data)]
-    sweep = LowRankSweep(blocks, PhysicalConfig(k=k, N=20))
+    sweep = LowRankSweep(blocks, 20)
     solves = []
     factor_solve = solve_module._Factor.solve
     monkeypatch.setattr(solve_module, "solve_linear", _no_direct_solve)
@@ -521,8 +523,7 @@ def test_sweep_solves_no_system_per_order_and_keeps_matrix0(
                         lambda lu, rhs: solves.append(rhs.shape)
                         or factor_solve(lu, rhs))
     for N in range(1, 21):
-        system = assembly.assemble_system(disc, ann, PhysicalConfig(k=k, N=N),
-                                          blocks)
+        system = assembly.assemble_system(blocks, N)
         _, residual = sweep.solve(system)
         assert residual <= 1e-10
     assert solves == []
@@ -546,7 +547,7 @@ def test_sweep_falls_back_to_the_direct_solve(monkeypatch, failure):
     order is solved directly: the rows are the direct path's, bitwise."""
     cfg = StudyConfig(levels=(1,), n_values=(1, 2, 3, 4))
     with monkeypatch.context() as patch:
-        patch.setattr(harness, "LowRankSweep", lambda blocks, config: None)
+        patch.setattr(harness, "LowRankSweep", lambda blocks, order: None)
         direct = harness.truncation_study(cfg)
 
     splu, factored = solve_module.spla.splu, []
