@@ -97,7 +97,11 @@ def default_mode_budget(config: PhysicalConfig) -> int:
 
 @dataclass(frozen=True)
 class SeriesSolution:
-    """Retained modal coefficients; orders 0 .. n_modes-1."""
+    """Retained modal coefficients; orders 0 .. n_modes-1.
+
+    n_modes is where :func:`solve_modes` stopped: the first mode whose field
+    on r = R0 is negligible (see there), or the mode budget.
+    """
 
     config: PhysicalConfig
     pressure_coeffs: np.ndarray   # A_n
@@ -115,11 +119,15 @@ class SeriesSolution:
 
 def solve_modes(config: PhysicalConfig,
                 n_modes: int | None = None) -> SeriesSolution:
-    """Solve the per-mode 3x3 systems up to the mode budget.
+    """Solve the per-mode 3x3 systems; the mode budget is an upper bound.
 
-    Stops early once coefficient norms fall below 1e-16 of the largest mode;
-    raises SingularModeError if any retained solve leaves a residual above
-    1e-12 relative (a resonant or otherwise degenerate configuration).
+    Mode n's field term on r = R0 is (n+1)^2 max(|A_n H_n(k R0)|,
+    |B_n J_n(k_p R0)|, |C_n J_n(k_s R0)|), the (n+1)^2 covering the n and n^2
+    of the angular derivatives.  The sum stops before the first mode past
+    n = 2 whose term is below 1e-16 of the largest so far (B_n and C_n grow
+    with n, so a stop on the coefficients alone would never fire).  Raises
+    SingularModeError if any solve leaves a residual above 1e-12 relative (a
+    resonant or otherwise degenerate configuration).
     """
     budget = default_mode_budget(config) if n_modes is None else int(n_modes)
     minimum = int(np.ceil(np.e * config.k * config.R0 / 2.0)) + 10
@@ -130,6 +138,7 @@ def solve_modes(config: PhysicalConfig,
         raise ValueError(f"mode budget {budget} exceeds the special-function "
                          f"order cap {special.MAX_ORDER}")
 
+    xp, xs = config.k_p * config.R0, config.k_s * config.R0
     A, B, C = [], [], []
     largest = 0.0
     for n in range(budget):
@@ -139,15 +148,19 @@ def solve_modes(config: PhysicalConfig,
                 E, e = modal_system(n, config)
                 X = np.linalg.solve(E, e)
                 res = np.linalg.norm(E @ X - e)
-                norm = np.linalg.norm(X)
+                # the mode's field on r = R0 (E[2, 0] is H_n(k R0)), with
+                # (n+1)^2 for the n and n^2 of the angular derivatives
+                term = (n + 1) ** 2 * max(abs(X[0] * E[2, 0]),
+                                          abs(X[1] * _j(n, xp)),
+                                          abs(X[2] * _j(n, xs)))
         except (np.linalg.LinAlgError, FloatingPointError) as exc:
             raise SingularModeError(f"mode {n}: {exc}") from exc
         if res > _RESIDUAL_RTOL * max(np.linalg.norm(e), 1e-300):
             raise SingularModeError(
                 f"mode {n}: solve residual {res:.3e} exceeds "
                 f"{_RESIDUAL_RTOL:g} * ||e||; configuration near resonance?")
-        largest = max(largest, norm)
-        if largest > 0.0 and norm < _TAIL_RTOL * largest and n > 2:
+        largest = max(largest, term)
+        if largest > 0.0 and term < _TAIL_RTOL * largest and n > 2:
             break
         A.append(X[0]); B.append(X[1]); C.append(X[2])
 
@@ -195,18 +208,23 @@ def eval_pressure(sol: SeriesSolution, r, theta, with_gradient: bool = False,
     tp = tf - _incidence_angle(cfg)
     a = sol.pressure_coeffs
     n = np.arange(M)
+    # the table once per distinct radius (quadrature points share radii),
+    # gathered per block with take, which keeps the rows C-contiguous: the
+    # mode sums then run as they did on per-point tables
+    radii, at = np.unique(rf, return_inverse=True)
+    H_radii = _h_table(M, k * radii)          # orders 0..M
     p = np.empty(rf.shape, dtype=complex)
     pr = np.empty_like(p)
     pt = np.empty_like(p)
     for blk in _blocks(rf.size):
-        H = _h_table(M, k * rf[blk])              # orders 0..M
-        nt = np.outer(n, tp[blk])
-        cn = np.cos(nt)
+        H = H_radii.take(at[blk], axis=1)
+        E = _angle_table(M, tp[blk])
+        cn = E.real
         p[blk] = a @ (H[:M] * cn)
         if with_gradient:
             Hm1 = np.concatenate([-H[1:2], H[:M - 1]])   # H_{-1} = -H_1
             pr[blk] = (0.5 * k) * (a @ ((Hm1 - H[1:]) * cn))
-            pt[blk] = -(a * n) @ (H[:M] * np.sin(nt))
+            pt[blk] = -(a * n) @ (H[:M] * E.imag)
 
     def _shape(v):
         v = v.reshape(shape)
@@ -215,6 +233,23 @@ def eval_pressure(sol: SeriesSolution, r, theta, with_gradient: bool = False,
     if with_gradient:
         return _shape(p), (_shape(pr), _shape(pt))
     return _shape(p)
+
+
+def _angle_table(M: int, t: np.ndarray) -> np.ndarray:
+    """e^{i n t} for orders 0..M-1, shape (M, len(t)), so cos(nt) and sin(nt)
+    are its real and imaginary parts.  One complex exp per point, then rows
+    m+1..2m are rows 1..m times row m (angle addition): each further row
+    costs one complex multiply, and no row is more than log2(n) products
+    from the exp."""
+    E = np.empty((M, t.size), dtype=complex)
+    E[:1] = 1.0
+    E[1:2] = np.exp(1j * t)
+    m = 1
+    while m + 1 < M:
+        stop = min(2 * m + 1, M)
+        np.multiply(E[1:stop - m], E[m], out=E[m + 1:stop])
+        m *= 2
+    return E
 
 
 def _h_table(M: int, x: np.ndarray) -> np.ndarray:
@@ -330,19 +365,22 @@ def eval_displacement(sol: SeriesSolution, r, theta,
     rsafe = np.where(at_origin, cfg.R0, rf)
 
     M = sol.n_modes
-    n = np.arange(M)
+    # radial tables once per distinct radius, as in eval_pressure
+    radii, at = np.unique(rsafe, return_inverse=True)
+    Jp = _j_table(M, cfg.k_p * radii)
+    Js = _j_table(M, cfg.k_s * radii)
     u = np.empty((rf.size, 2), dtype=complex)
     jac = np.empty((rf.size, 2, 2), dtype=complex) if with_gradient else None
     for blk in _blocks(rf.size):
         rb = rsafe[blk]
-        nt = np.outer(n, tp[blk])
-        cn, sn = np.cos(nt), np.sin(nt)
+        E = _angle_table(M, tp[blk])
+        cn, sn = E.real, E.imag
         phr, pht, *ph2 = _potential_derivs(
-            sol.comp_coeffs, cfg.k_p, _j_table(M, cfg.k_p * rb),
-            cn, sn, -1.0, with_gradient)
+            sol.comp_coeffs, cfg.k_p, Jp.take(at[blk], axis=1), cn, sn, -1.0,
+            with_gradient)
         psr, pst, *ps2 = _potential_derivs(
-            sol.shear_coeffs, cfg.k_s, _j_table(M, cfg.k_s * rb),
-            sn, cn, 1.0, with_gradient)
+            sol.shear_coeffs, cfg.k_s, Js.take(at[blk], axis=1), sn, cn, 1.0,
+            with_gradient)
         c, s = np.cos(tf[blk]), np.sin(tf[blk])
         phx, phy = _cartesian_first(phr, pht, rb, c, s)
         psx, psy = _cartesian_first(psr, pst, rb, c, s)

@@ -228,7 +228,8 @@ def cmd_oracle(args) -> int:
     if not np.all(np.isfinite([r, *values.values()])):
         raise FloatingPointError(f"oracle value at ({x:g}, {y:g}) is not "
                                  "finite")
-    _print(f"oracle k={k:g} point=({x:g}, {y:g}) r={r:.6g}")
+    _print(f"oracle k={k:g} modes={exact.n_modes} point=({x:g}, {y:g}) "
+           f"r={r:.6g}")
     for name, v in values.items():
         _print(f"  {name} = {v.real:+.12e} {v.imag:+.12e}j")
     return 0

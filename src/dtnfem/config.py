@@ -46,6 +46,7 @@ class PhysicalConfig:
             raise ValueError("need R > R0 > 0")
         if self.N < 0 or self.N != int(self.N):
             raise ValueError("N must be a non-negative integer")
+        object.__setattr__(self, "N", int(self.N))
         object.__setattr__(self, "d", (float(self.d[0]), float(self.d[1])))
         if abs(np.hypot(*self.d) - 1.0) > 1e-12:
             raise ValueError("incident direction d must be a unit vector")

@@ -44,6 +44,7 @@ def dtn_factor(trace: BoundaryTrace, k: float, radius: float, order: int):
     """Real columns U, shape (m, 2*order+1), and complex weights d with
     B = U diag(d) U^T; column order [n=0, cos 1, sin 1, ..., cos N, sin N]."""
     delta = _check_uniform(trace)
+    order = special._check_order(order)
     z = special.dtn_coefficients(order, k, radius)
     n = np.arange(1, order + 1)
     w = 4.0 * np.sin(n * delta / 2.0) ** 2 / (n ** 2 * delta)

@@ -302,6 +302,16 @@ def test_system_takes_its_meshes_and_physics_from_the_blocks(pair16):
     assert system.disc_mesh is disc and system.annulus_mesh is ann
 
 
+def test_system_at_an_integral_float_order(pair16):
+    """An order of 2.0 is stored as the int 2 and builds order 2's system."""
+    disc, ann = pair16
+    blocks = assembly.assemble_blocks(disc, ann, PhysicalConfig())
+    system = assembly.assemble_system(blocks, 2.0)
+    assert type(system.config.N) is int and system.config.N == 2
+    assert type(PhysicalConfig(N=2.0).N) is int
+    assert (system.matrix - assembly.assemble_system(blocks, 2).matrix).nnz == 0
+
+
 def test_system_is_matrix0_minus_the_dtn_block(pair16):
     disc, ann = pair16
     cfg = PhysicalConfig(N=8)

@@ -187,6 +187,15 @@ def test_oracle_solid_point(capsys):
     assert "ux =" in out and "uy =" in out
 
 
+def test_oracle_header_reports_the_modes_kept(capsys):
+    """The mode budget (--modes) is an upper bound on the modes kept."""
+    for extra, kept in (([], 17), (["--modes", "40"], 17),
+                        (["--modes", "12"], 12)):
+        assert run(["oracle", "--k", "1", *extra, "--point", "1.5", "0"]) == 0
+        header = capsys.readouterr().out.splitlines()[0]
+        assert header == f"oracle k=1 modes={kept} point=(1.5, 0) r=1.5"
+
+
 def test_mesh_dump_roundtrip(tmp_path):
     out = tmp_path / "mesh.txt"
     code = run(["mesh-dump", "--region", "annulus", "--refine", "1",

@@ -122,6 +122,12 @@ def test_nonuniform_trace_rejected(trace):
                 build(trace, 1.0, 2.0, order)
 
 
+def test_integral_float_order_is_the_int_order(trace):
+    for got, want in zip(dtn.dtn_factor(trace, 1.0, 2.0, 2.0),
+                         dtn.dtn_factor(trace, 1.0, 2.0, 2)):
+        assert np.array_equal(got, want)
+
+
 @settings(max_examples=30, deadline=None)
 @given(j=st.integers(min_value=0, max_value=15),
        n=st.integers(min_value=-12, max_value=12))

@@ -1,5 +1,6 @@
 import gc
 import importlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -71,6 +72,23 @@ def test_sparse_error_reduction_is_the_einsum_bitwise(mesh_pairs, k):
             p = (rng.standard_normal(ann.num_nodes)
                  + 1j * rng.standard_normal(ann.num_nodes))
             assert quad.errors(u, p) == _einsum_errors(quad, disc, ann, u, p)
+
+
+def test_oracle_build_memory_stays_at_its_measured_peak(base_series,
+                                                       mesh_pairs):
+    """The oracle works in blocks of points: a full-length table or
+    temporary would show here before it shows in the peak RSS of a study.
+    The tracemalloc peak of this build on the default level-3 pair was
+    14,292,857 bytes (13.6 MiB) when the radial tables were still built per
+    point; the distinct-radius tables must fit in the same 5% margin."""
+    disc, ann = mesh_pairs[3]
+    tracemalloc.start()
+    try:
+        harness._ExactQuadrature(disc, ann, base_series)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.05 * 14_292_857
 
 
 def test_error_norms_config_mismatch(base_series, mesh_pairs):
