@@ -148,8 +148,7 @@ def solve_modes(config: PhysicalConfig,
                 E, e = modal_system(n, config)
                 X = np.linalg.solve(E, e)
                 res = np.linalg.norm(E @ X - e)
-                # the mode's field on r = R0 (E[2, 0] is H_n(k R0)), with
-                # (n+1)^2 for the n and n^2 of the angular derivatives
+                # the field term of the docstring; E[2, 0] is H_n(k R0)
                 term = (n + 1) ** 2 * max(abs(X[0] * E[2, 0]),
                                           abs(X[1] * _j(n, xp)),
                                           abs(X[2] * _j(n, xs)))
@@ -209,8 +208,9 @@ def eval_pressure(sol: SeriesSolution, r, theta, with_gradient: bool = False,
     a = sol.pressure_coeffs
     n = np.arange(M)
     # the table once per distinct radius (quadrature points share radii),
-    # gathered per block with take, which keeps the rows C-contiguous: the
-    # mode sums then run as they did on per-point tables
+    # gathered per block with take, which returns C-contiguous rows: a fancy
+    # index returns F-ordered ones, on which the mode-sum GEMV rounds
+    # differently from the per-point tables
     radii, at = np.unique(rf, return_inverse=True)
     H_radii = _h_table(M, k * radii)          # orders 0..M
     p = np.empty(rf.shape, dtype=complex)

@@ -34,7 +34,7 @@ class PhysicalConfig:
                              "components")
         if not np.all(np.isfinite([self.lam, self.mu, self.rho, self.rho_f,
                                    self.omega, self.k, self.R0, self.R,
-                                   *self.d])):
+                                   self.N, *self.d])):
             raise ValueError("physical parameters must be finite")
         if self.mu <= 0.0 or self.lam + self.mu <= 0.0:
             raise ValueError("need mu > 0 and lam + mu > 0")

@@ -462,14 +462,6 @@ def test_tail_stops_at_the_last_mode_that_affects_the_field(k, kept):
         assert np.array_equal(got, want)
 
 
-def test_mode_budget_is_an_upper_bound():
-    cfg = PhysicalConfig()
-    low = analytic.solve_modes(cfg, n_modes=12)   # the smallest budget at k=1
-    assert low.n_modes == 12
-    assert np.array_equal(low.pressure_coeffs,
-                          analytic.solve_modes(cfg).pressure_coeffs[:12])
-
-
 @pytest.mark.parametrize("cfg", [PhysicalConfig(k=1.0), PhysicalConfig(k=2.0),
                                  PhysicalConfig(k=4.0), SOFT_SOLID],
                          ids=["k1", "k2", "k4", "soft_solid"])

@@ -303,12 +303,16 @@ def test_system_takes_its_meshes_and_physics_from_the_blocks(pair16):
 
 
 def test_system_at_an_integral_float_order(pair16):
-    """An order of 2.0 is stored as the int 2 and builds order 2's system."""
+    """An order of 2.0 is stored as the int 2 and builds order 2's system;
+    a negative, fractional or non-finite order is a ValueError."""
     disc, ann = pair16
     blocks = assembly.assemble_blocks(disc, ann, PhysicalConfig())
     system = assembly.assemble_system(blocks, 2.0)
     assert type(system.config.N) is int and system.config.N == 2
     assert type(PhysicalConfig(N=2.0).N) is int
+    for bad in (-1, 2.5, np.inf, np.nan):
+        with pytest.raises(ValueError):
+            PhysicalConfig(N=bad)
     assert (system.matrix - assembly.assemble_system(blocks, 2).matrix).nnz == 0
 
 
