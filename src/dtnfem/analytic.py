@@ -292,28 +292,37 @@ def _j_table(M: int, x: np.ndarray) -> np.ndarray:
 
 
 def _mode_sum(c, X, Y):
-    """sum_n c[n] X[n] Y[n] over the mode axis; c complex, X and Y real."""
-    v = np.stack([c.real, c.imag]) @ (X * Y)
+    """sum_n c[n] X[n] Y[n] over the mode axis; c complex, given as its real
+    and imaginary rows (2, M), X and Y real."""
+    v = c @ (X * Y)
     return v[0] + 1j * v[1]
 
 
-def _potential_derivs(coeffs, kappa, J, tg, cotg, sign, second):
+def _coefficient_rows(coeffs, sign):
+    """The real/imaginary rows (``_mode_sum``) of the three coefficient sets
+    of a potential: coeffs, sign * n * coeffs and n^2 * coeffs."""
+    n = np.arange(len(coeffs))
+    return [np.stack([c.real, c.imag])
+            for c in (coeffs, sign * n * coeffs, coeffs * n ** 2)]
+
+
+def _potential_derivs(rows, kappa, J, tg, cotg, second):
     """Polar derivatives (f_r, f_t), plus (f_rr, f_rt, f_tt) if second, of the
     potential f = sum_n coeffs[n] J_n(kappa r) tg[n], where the angular factor
-    tg[n] is cos(nt) or sin(nt) and its t-derivative is sign * n * cotg[n]."""
-    M = len(coeffs)
-    n = np.arange(M)
+    tg[n] is cos(nt) or sin(nt), its t-derivative is sign * n * cotg[n], and
+    ``rows`` holds ``_coefficient_rows(coeffs, sign)``."""
+    c, cd, cn2 = rows
+    M = c.shape[1]
     # J[n + 2] holds J_n for n = -2..M+1: J_{-1} = -J_1, J_{-2} = J_2
     J = np.concatenate([J[2:3], -J[1:2], J])
     Jn = J[2:M + 2]
     dJ = 0.5 * (J[1:M + 1] - J[3:M + 3])
-    cd = sign * n * coeffs
-    out = [kappa * _mode_sum(coeffs, dJ, tg), _mode_sum(cd, Jn, cotg)]
+    out = [kappa * _mode_sum(c, dJ, tg), _mode_sum(cd, Jn, cotg)]
     if second:
         ddJ = 0.25 * (J[:M] - 2.0 * Jn + J[4:M + 4])
-        out += [kappa ** 2 * _mode_sum(coeffs, ddJ, tg),
+        out += [kappa ** 2 * _mode_sum(c, ddJ, tg),
                 kappa * _mode_sum(cd, dJ, cotg),
-                -_mode_sum(coeffs * n ** 2, Jn, tg)]
+                -_mode_sum(cn2, Jn, tg)]
     return out
 
 
@@ -321,13 +330,21 @@ def _cartesian_first(fr, ft, r, c, s):
     return c * fr - s * ft / r, s * fr + c * ft / r
 
 
-def _cartesian_second(fr, ft, frr, frt, ftt, r, c, s):
-    fxx = c * c * frr - 2 * c * s * frt / r + s * s * ftt / r ** 2 \
-        + s * s * fr / r + 2 * c * s * ft / r ** 2
-    fyy = s * s * frr + 2 * c * s * frt / r + c * c * ftt / r ** 2 \
-        + c * c * fr / r - 2 * c * s * ft / r ** 2
-    fxy = c * s * frr + (c * c - s * s) * frt / r - c * s * ftt / r ** 2 \
-        - c * s * fr / r - (c * c - s * s) * ft / r ** 2
+def _polar_factors(r, c, s):
+    """The factors both potentials' ``_cartesian_second`` share: c^2, 2cs,
+    s^2, cs, c^2 - s^2 and r^2."""
+    cc, ss = c * c, s * s
+    return cc, 2 * c * s, ss, c * s, cc - ss, r ** 2
+
+
+def _cartesian_second(fr, ft, frr, frt, ftt, r, factors):
+    cc, cs2, ss, cs, dcs, r2 = factors
+    fxx = cc * frr - cs2 * frt / r + ss * ftt / r2 \
+        + ss * fr / r + cs2 * ft / r2
+    fyy = ss * frr + cs2 * frt / r + cc * ftt / r2 \
+        + cc * fr / r - cs2 * ft / r2
+    fxy = cs * frr + dcs * frt / r - cs * ftt / r2 \
+        - cs * fr / r - dcs * ft / r2
     return fxx, fxy, fyy
 
 
@@ -369,6 +386,8 @@ def eval_displacement(sol: SeriesSolution, r, theta,
     radii, at = np.unique(rsafe, return_inverse=True)
     Jp = _j_table(M, cfg.k_p * radii)
     Js = _j_table(M, cfg.k_s * radii)
+    comp_rows = _coefficient_rows(sol.comp_coeffs, -1.0)
+    shear_rows = _coefficient_rows(sol.shear_coeffs, 1.0)
     u = np.empty((rf.size, 2), dtype=complex)
     jac = np.empty((rf.size, 2, 2), dtype=complex) if with_gradient else None
     for blk in _blocks(rf.size):
@@ -376,10 +395,10 @@ def eval_displacement(sol: SeriesSolution, r, theta,
         E = _angle_table(M, tp[blk])
         cn, sn = E.real, E.imag
         phr, pht, *ph2 = _potential_derivs(
-            sol.comp_coeffs, cfg.k_p, Jp.take(at[blk], axis=1), cn, sn, -1.0,
+            comp_rows, cfg.k_p, Jp.take(at[blk], axis=1), cn, sn,
             with_gradient)
         psr, pst, *ps2 = _potential_derivs(
-            sol.shear_coeffs, cfg.k_s, Js.take(at[blk], axis=1), sn, cn, 1.0,
+            shear_rows, cfg.k_s, Js.take(at[blk], axis=1), sn, cn,
             with_gradient)
         c, s = np.cos(tf[blk]), np.sin(tf[blk])
         phx, phy = _cartesian_first(phr, pht, rb, c, s)
@@ -387,8 +406,9 @@ def eval_displacement(sol: SeriesSolution, r, theta,
         u[blk, 0] = phx + psy
         u[blk, 1] = phy - psx
         if with_gradient:
-            phxx, phxy, phyy = _cartesian_second(phr, pht, *ph2, rb, c, s)
-            psxx, psxy, psyy = _cartesian_second(psr, pst, *ps2, rb, c, s)
+            factors = _polar_factors(rb, c, s)
+            phxx, phxy, phyy = _cartesian_second(phr, pht, *ph2, rb, factors)
+            psxx, psxy, psyy = _cartesian_second(psr, pst, *ps2, rb, factors)
             jac[blk, 0, 0] = phxx + psxy
             jac[blk, 0, 1] = phxy + psyy
             jac[blk, 1, 0] = phxy - psxx

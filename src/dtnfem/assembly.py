@@ -93,16 +93,21 @@ def _symmetrize(matrix: sp.csr_matrix) -> sp.csr_matrix:
     return ((matrix + matrix.T) * 0.5).tocsr()
 
 
+def _p1_scatter(mesh: Mesh, ke: np.ndarray) -> sp.csr_matrix:
+    """Nodal matrix summing the (T, 3, 3) element matrices ``ke``."""
+    rows = np.broadcast_to(mesh.triangles[:, :, None], ke.shape)
+    cols = np.broadcast_to(mesh.triangles[:, None, :], ke.shape)
+    n = mesh.num_nodes
+    return sp.coo_matrix(
+        (ke.ravel(), (rows.ravel(), cols.ravel())), shape=(n, n)).tocsr()
+
+
 def assemble_helmholtz(mesh: Mesh, k: float) -> sp.csr_matrix:
     """Stiffness - k^2 mass over the fluid region, exact P1 integration."""
     g, area = _p1_geometry(mesh)
     ke = np.einsum("tad,tbd->tab", g, g) * area[:, None, None]
     ke = ke - k ** 2 * area[:, None, None] * _P1_MASS[None]
-    rows = np.broadcast_to(mesh.triangles[:, :, None], ke.shape)
-    cols = np.broadcast_to(mesh.triangles[:, None, :], ke.shape)
-    n = mesh.num_nodes
-    return _symmetrize(sp.coo_matrix(
-        (ke.ravel(), (rows.ravel(), cols.ravel())), shape=(n, n)).tocsr())
+    return _symmetrize(_p1_scatter(mesh, ke))
 
 
 def assemble_elastic(mesh: Mesh, lam: float, mu: float, rho: float,

@@ -19,7 +19,8 @@ import scipy.sparse as sp
 
 from . import analytic, special
 from . import dtn as dtn_ops
-from .assembly import _p1_geometry, assemble_blocks, assemble_system
+from .assembly import (_P1_MASS, _p1_geometry, _p1_scatter, assemble_blocks,
+                       assemble_system)
 from .config import PhysicalConfig
 from .mesh import (Mesh, _coarse_pair_triangles, build_annulus_mesh,
                    build_disc_mesh, mesh_size, refine, triangle_areas)
@@ -94,17 +95,20 @@ class _ExactQuadrature:
     """Oracle fields frozen at the quadrature points of one mesh pair.
 
     Building this is the expensive part of an error measurement; reusing it
-    across a truncation sweep makes the N study cheap.
+    across a truncation sweep makes the N study cheap.  ``errors`` is the
+    reference reduction: a pass over every quadrature point.  The swept
+    orders of a truncation curve take it in coefficient space instead
+    (``_SweepErrors``).
     """
 
     def __init__(self, disc_mesh: Mesh, annulus_mesh: Mesh,
                  exact: analytic.SeriesSolution):
         self.h = max(mesh_size(disc_mesh), mesh_size(annulus_mesh))
         self.dofs = 2 * disc_mesh.num_nodes + annulus_mesh.num_nodes
-        # per region: the maps from nodal values to the P1 values at the
-        # quadrature points (rows t, q) and to the constant P1 gradients
-        # (rows t, d), the areas, and the oracle value and Cartesian gradient
-        # at the quadrature points
+        # per region: the mesh, the maps from nodal values to the P1 values
+        # at the quadrature points (rows t, q) and to the constant P1
+        # gradients (rows t, d), the areas, and the oracle value and
+        # Cartesian gradient at the quadrature points
         self._regions = []
         for mesh, oracle in ((disc_mesh, analytic.eval_displacement),
                              (annulus_mesh, analytic.eval_pressure)):
@@ -123,34 +127,137 @@ class _ExactQuadrature:
             grads, area = _p1_geometry(mesh)
             interp = _vertex_rows(mesh, np.broadcast_to(
                 _TRI_QP, (len(area), *_TRI_QP.shape)))
-            self._regions.append((interp,
+            self._regions.append((mesh, interp,
                                   _vertex_rows(mesh, grads.transpose(0, 2, 1)),
                                   area, value, grad))
 
-    def errors(self, u_nodal: np.ndarray, p_nodal: np.ndarray):
-        l2, h1 = [], []
-        for nodal, (interp, grad_op, area, value, grad) in zip(
+    def _diffs(self, u_nodal: np.ndarray, p_nodal: np.ndarray):
+        """Per region, the P1 field minus the oracle at the quadrature points
+        (T, Q[, 2]) and its gradient minus the oracle's (T, Q[, 2], 2)."""
+        for nodal, (_, interp, grad_op, area, value, grad) in zip(
                 (u_nodal, p_nodal), self._regions):
             # complex nodes as interleaved reals, (n, 2c): u has c = 2
             nodal = np.ascontiguousarray(nodal, dtype=complex)
             real = nodal.reshape(len(nodal), -1).view(float)
-            n_tri = len(area)
             f_h = (interp @ real).view(complex).reshape(value.shape)
             g_h = np.moveaxis(
-                (grad_op @ real).view(complex).reshape(n_tri, 2, -1), 1, -1
+                (grad_op @ real).view(complex).reshape(len(area), 2, -1), 1, -1
             ).reshape(grad.shape[:1] + grad.shape[2:])
-            for diff, out in ((f_h - value, l2), (g_h[:, None] - grad, h1)):
-                sq = (np.abs(diff) ** 2).reshape(n_tri, len(_TRI_QW), -1)
-                out.append(np.einsum("q,tqc->t", _TRI_QW, sq) @ area)
-        err_h0 = np.sqrt(l2[0] + l2[1])
-        err_h1 = np.sqrt(l2[0] + l2[1] + h1[0] + h1[1])
-        return float(err_h0), float(err_h1)
+            yield f_h - value, g_h[:, None] - grad
 
-    def report(self, sol: FieldSolution, seconds: float) -> ErrorReport:
-        err_h0, err_h1 = self.errors(sol.u_nodal, sol.p_nodal)
+    def _squared(self, diffs):
+        """err_h0^2 and err_h1^2 from the differences of ``_diffs``."""
+        l2, h1 = [], []
+        for (f_diff, g_diff), region in zip(diffs, self._regions):
+            area = region[3]
+            for diff, out in ((f_diff, l2), (g_diff, h1)):
+                sq = (np.abs(diff) ** 2).reshape(len(area), len(_TRI_QW), -1)
+                out.append(np.einsum("q,tqc->t", _TRI_QW, sq) @ area)
+        return l2[0] + l2[1], l2[0] + l2[1] + h1[0] + h1[1]
+
+    def errors(self, u_nodal: np.ndarray, p_nodal: np.ndarray):
+        sq_h0, sq_h1 = self._squared(self._diffs(u_nodal, p_nodal))
+        return float(np.sqrt(sq_h0)), float(np.sqrt(sq_h1))
+
+    def report(self, sol: FieldSolution, seconds: float,
+               errors=None) -> ErrorReport:
+        """The row of ``sol``, with its (err_h0, err_h1) from ``errors`` or,
+        when that is None, from the reference reduction."""
+        err_h0, err_h1 = errors or self.errors(sol.u_nodal, sol.p_nodal)
         return ErrorReport(h=self.h, N=sol.config.N, k=sol.config.k,
                            dofs=self.dofs, err_h0=err_h0, err_h1=err_h1,
                            seconds=seconds)
+
+
+# a swept row whose err^2 is below 1/_CANCELLATION of the sum of its three
+# terms' magnitudes has lost about that factor to rounding, so it takes the
+# reference instead (the default curves reach at most 1.33 at k = 1 and 2)
+_CANCELLATION = 100.0
+
+
+class _SweepErrors:
+    """err_h0 and err_h1 of each order a ``LowRankSweep`` kept, from its
+    coefficients alone.
+
+    Every order is x_N = y + W c_N.  Around the largest order's solution
+    x* = y + W c*, with delta = c_N - c* (zero-padded), the error of x_N at
+    the quadrature points is r* + I W delta, so for either norm
+
+        err^2 = s + 2 Re(h^H delta) + delta^H G delta,
+
+    with s the err^2 of x* (the reference reduction), h = W^T I^T (w r*) and
+    G = W^T M W, plus W^T K W for err_h1 (M and K the P1 mass and stiffness
+    matrices per displacement component and region: the rule integrates P1
+    products exactly).  W is real, so delta^H G delta = Re(delta)^T G
+    Re(delta) + Im(delta)^T G Im(delta).  A row then costs O((2N+1)^2)
+    instead of a pass over every quadrature point, and the largest order's
+    row (delta = 0) is the reference's bitwise.  Expanding around x*, not y,
+    keeps s at the size of every row's err^2, so the sum loses no digits.
+
+    Orders that were solved directly, and every order of a curve without a
+    sweep (or whose c* cannot be formed), take ``errors`` = None: the
+    reference reduction.
+    """
+
+    def __init__(self, quad: _ExactQuadrature, sweep: LowRankSweep | None):
+        self._sweep = sweep
+        self._c_star = None if sweep is None else sweep.coefficients(
+            sweep.order)
+        if self._c_star is None:
+            return
+        x = sweep.combine(self._c_star)
+        if not np.all(np.isfinite(x)):
+            self._c_star = None
+            return
+        ns = quad._regions[0][0].num_nodes
+        diffs = list(quad._diffs(x[:2 * ns].reshape(ns, 2), x[2 * ns:]))
+        # index 0 is err_h0, index 1 err_h1 (the gradient terms added)
+        self._s = np.array(quad._squared(diffs))
+        w = sweep.w[:, :len(self._c_star)]
+        r = w.shape[1]
+        back = np.empty((2, len(x)), dtype=complex)   # I^T (w r*) per norm
+        self._gram = np.zeros((2, r, r))
+        for (f_diff, g_diff), (mesh, interp, grad_op, area, *_), rows in zip(
+                diffs, quad._regions, (slice(0, 2 * ns), slice(2 * ns, None))):
+            n_tri, n_q = len(area), len(_TRI_QW)
+            f_diff = f_diff.reshape(n_tri, n_q, -1)      # (T, Q, c)
+            n_comp = f_diff.shape[-1]
+            weighted = (
+                (interp, f_diff * (area[:, None] * _TRI_QW)[..., None]),
+                (grad_op, (_TRI_QW @ g_diff.reshape(n_tri, n_q, -1)).reshape(
+                    n_tri, n_comp, 2).transpose(0, 2, 1) * area[:, None, None]))
+            for out, (op, v) in zip(back, weighted):
+                real = np.ascontiguousarray(v).reshape(-1, n_comp).view(float)
+                out[rows] = np.ascontiguousarray(op.T @ real).view(
+                    complex).ravel()
+            g, _ = _p1_geometry(mesh)
+            mass = _p1_scatter(mesh, area[:, None, None] * _P1_MASS)
+            stiff = _p1_scatter(
+                mesh, np.einsum("tad,tbd->tab", g, g) * area[:, None, None])
+            for comp in range(n_comp):   # u_x, u_y interleave on the disc
+                wc = np.ascontiguousarray(w[rows][comp::n_comp])
+                self._gram[0] += wc.T @ (mass @ wc)
+                self._gram[1] += wc.T @ (stiff @ wc)
+        self._gram[1] += self._gram[0]
+        back[1] += back[0]
+        parts = np.stack([back.real, back.imag], axis=1).reshape(4, -1)
+        self._h = (w.T @ parts.T).T.reshape(2, 2, r)  # [norm, re/im, column]
+
+    def errors(self, N: int):
+        """(err_h0, err_h1) of order N, or None for the reference."""
+        c = None if self._c_star is None else self._sweep.kept.get(N)
+        if c is None:
+            return None
+        delta = -self._c_star
+        delta[:len(c)] += c
+        d = np.stack([delta.real, delta.imag])
+        cross = 2.0 * np.einsum("nar,ar->n", self._h, d)
+        form = np.einsum("ar,nrs,as->n", d, self._gram, d)
+        sq = self._s + cross + form
+        if not np.all(self._s + np.abs(cross) + np.abs(form)
+                      <= _CANCELLATION * sq):
+            return None
+        return float(np.sqrt(sq[0])), float(np.sqrt(sq[1]))
 
 
 def error_norms(sol: FieldSolution, exact: analytic.SeriesSolution) -> ErrorReport:
@@ -329,11 +436,14 @@ class TruncationResult:
 def truncation_study(cfg: StudyConfig) -> TruncationResult:
     """err_h0 against the truncation order N, one curve per (k, mesh level).
 
-    The N-independent matrix A0, its sparse factorization and the oracle
-    values at the quadrature points are built once per curve.  Each N then
-    assembles its absorbing-boundary matrix and is solved from that one
-    factorization as a rank-(2N+1) update (``solve.LowRankSweep``), with the
-    direct solve as the fallback; a single order is solved directly.
+    The N-independent matrix A0, its sparse factorization, the oracle
+    values at the quadrature points and the coefficient form of the errors
+    (``_SweepErrors``) are built once per curve, before its first row.  Each
+    N then assembles its absorbing-boundary matrix and is solved from that
+    one factorization as a rank-(2N+1) update (``solve.LowRankSweep``), with
+    the direct solve as the fallback; a single order is solved directly.
+    A swept row's errors come from its coefficients c_N alone; a row solved
+    directly takes the pass over every quadrature point.
     """
     _check_pair_size(cfg.R0, cfg.R, cfg.n_angular, max(cfg.levels))
     reports, plateaus, residuals = [], [], []
@@ -345,13 +455,16 @@ def truncation_study(cfg: StudyConfig) -> TruncationResult:
             blocks = assemble_blocks(disc, annulus, exact.config)
             sweep = (LowRankSweep(blocks, max(cfg.n_values))
                      if len(set(cfg.n_values)) > 1 else None)
-            # oracle tables before the first row: no order pays for them
+            # oracle tables and the coefficient form before the first row:
+            # no order pays for them
             quad = _ExactQuadrature(disc, annulus, exact)
+            swept = _SweepErrors(quad, sweep)
             curve = []
             for N in cfg.n_values:
                 t0 = time.perf_counter()
                 sol = solve(assemble_system(blocks, N), sweep)
-                curve.append(quad.report(sol, time.perf_counter() - t0))
+                seconds = time.perf_counter() - t0
+                curve.append(quad.report(sol, seconds, swept.errors(N)))
                 residuals.append(sol.residual)
             reports.extend(curve)
             errs = np.array([r.err_h0 for r in curve])

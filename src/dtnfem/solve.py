@@ -11,7 +11,10 @@ with W = A0^{-1} V and S = V^T W.  The per-curve set-up factors A0 and
 forms y, W and S at the largest order; W is kept, so order N takes the
 leading 2N+1 columns of W and the leading (2N+1)^2 block of the capacitance
 matrix I - D S, and solves no system with A0.  A0 and V are real, so A0 is
-factored in real arithmetic and W is real.
+factored in real arithmetic and W is real.  Each order's capacitance solve
+runs once, and the sweep keeps c_N of every order whose x passed the
+residual gate, so a caller can work on x_N = y + W c_N in coefficient space
+(``harness._SweepErrors`` reduces each row's errors that way).
 
 Both factor in the nested-dissection order of the mesh pair
 (``SystemBlocks.ordering``).
@@ -99,6 +102,8 @@ class LowRankSweep:
 
     def __init__(self, blocks: SystemBlocks, order: int):
         self.order = order
+        self.kept = {}   # order -> c_N of every x that passed the gate
+        self._c = {}     # order -> c_N, or None if its solve was singular
         self._dofs = blocks.dof_map.pressure(blocks.trace_r.node_indices)
         self._columns, self._weights = dtn_ops.dtn_factor(
             blocks.trace_r, blocks.config.k, blocks.config.R, order)
@@ -115,39 +120,50 @@ class LowRankSweep:
         # W = A0^{-1} V, a few columns at a time, in Fortran order so that an
         # order's leading columns are one contiguous block
         n, r = a0.shape[0], self._columns.shape[1]
-        self._w = np.empty((n, r), order="F")
+        self.w = np.empty((n, r), order="F")
         for j in range(0, r, _SWEEP_BLOCK):
             cols = self._columns[:, j:j + _SWEEP_BLOCK]
             v = np.zeros((n, cols.shape[1]))
             v[self._dofs] = cols
-            self._w[:, j:j + _SWEEP_BLOCK] = self._lu.solve(v)
-        self._s = self._columns.T @ self._w[self._dofs]
+            self.w[:, j:j + _SWEEP_BLOCK] = self._lu.solve(v)
+        self._s = self._columns.T @ self.w[self._dofs]
         # y = A0^{-1} b: assemble_system hands every order a copy of this load
         y = self._lu.solve(np.column_stack([blocks.load.real,
                                             blocks.load.imag]))
         self._y = y[:, 0] + 1j * y[:, 1]
 
-    def _woodbury(self, N: int):
-        """x of order N for the load of the blocks, or None when the
-        capacitance matrix is exactly singular."""
-        r = 2 * N + 1
-        u, d, y = self._columns[:, :r], self._weights[:r], self._y
-        try:
-            c = np.linalg.solve(np.eye(r) - d[:, None] * self._s[:r, :r],
-                                d * (u.T @ y[self._dofs]))
-        except np.linalg.LinAlgError:
+    def coefficients(self, N: int):
+        """c_N of order N, or None when the capacitance matrix is exactly
+        singular or A0 could not be factored; solved once per order."""
+        if self._lu is None:
             return None
-        w = self._w[:, :r]   # W @ c would copy W to complex on every order
-        return y + (w @ c.real + 1j * (w @ c.imag))
+        if N not in self._c:
+            r = 2 * N + 1
+            u, d = self._columns[:, :r], self._weights[:r]
+            try:
+                self._c[N] = np.linalg.solve(
+                    np.eye(r) - d[:, None] * self._s[:r, :r],
+                    d * (u.T @ self._y[self._dofs]))
+            except np.linalg.LinAlgError:
+                self._c[N] = None
+        return self._c[N]
+
+    def combine(self, c: np.ndarray) -> np.ndarray:
+        """x = y + W c over the leading len(c) columns of W."""
+        w = self.w[:, :len(c)]   # W @ c would copy W to complex every time
+        return self._y + (w @ c.real + 1j * (w @ c.imag))
 
     def solve(self, system: FemSystem):
         """(x, relative residual) for one order, under the same gate as
         ``solve_linear``."""
-        if self._lu is not None and system.config.N <= self.order:
-            x = self._woodbury(system.config.N)
-            if x is not None and np.all(np.isfinite(x)):
+        N = system.config.N
+        c = self.coefficients(N) if N <= self.order else None
+        if c is not None:
+            x = self.combine(c)
+            if np.all(np.isfinite(x)):
                 residual = _relative_residual(system.matrix, x, system.rhs)
                 if residual <= RESIDUAL_TOL:
+                    self.kept[N] = c
                     return x, residual
         return solve_linear(system.matrix, system.rhs, system.ordering)
 

@@ -353,8 +353,9 @@ def _reference_displacement(sol, r, th):
     c, s = np.cos(th), np.sin(th)
     phx, phy = analytic._cartesian_first(ph[0], ph[1], r, c, s)
     psx, psy = analytic._cartesian_first(ps[0], ps[1], r, c, s)
-    phxx, phxy, phyy = analytic._cartesian_second(*ph, r, c, s)
-    psxx, psxy, psyy = analytic._cartesian_second(*ps, r, c, s)
+    factors = analytic._polar_factors(r, c, s)
+    phxx, phxy, phyy = analytic._cartesian_second(*ph, r, factors)
+    psxx, psxy, psyy = analytic._cartesian_second(*ps, r, factors)
     u = np.stack([phx + psy, phy - psx], axis=-1)
     jac = np.stack([np.stack([phxx + psxy, phxy + psyy], axis=-1),
                     np.stack([phxy - psxx, phyy - psxy], axis=-1)], axis=-2)

@@ -1,6 +1,8 @@
 import gc
 import importlib
+import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ import dtnfem
 from dtnfem import PhysicalConfig, StudyConfig, analytic, harness
 from dtnfem.assembly import SystemBlocks
 from dtnfem.mesh import _coarse_pair_triangles, triangle_areas
-from dtnfem.solve import FieldSolution
+from dtnfem.solve import FieldSolution, LowRankSweep
 
 # the module, not the ``solve`` function the package re-exports
 solve_module = importlib.import_module("dtnfem.solve")
@@ -310,6 +312,139 @@ def test_truncation_row_at_study_order_is_the_convergence_row(
         assert (trunc.h, trunc.dofs) == (conv.h, conv.dofs)
         assert trunc.err_h0 == pytest.approx(conv.err_h0, rel=1e-10, abs=0)
         assert trunc.err_h1 == pytest.approx(conv.err_h1, rel=1e-10, abs=0)
+
+
+# ------------------------------------------------ swept truncation rows
+
+BENCH_REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" \
+    / "reference.json"
+
+
+def _spy_rows(monkeypatch):
+    """Record each truncation row as (N, reported (err_h0, err_h1), whether
+    it came from the coefficient form, the reference reduction of its x)."""
+    rows, report = [], harness._ExactQuadrature.report
+
+    def spy(self, sol, seconds, errors=None):
+        out = report(self, sol, seconds, errors)
+        rows.append((sol.config.N, (out.err_h0, out.err_h1),
+                     errors is not None,
+                     self.errors(sol.u_nodal, sol.p_nodal)))
+        return out
+    monkeypatch.setattr(harness._ExactQuadrature, "report", spy)
+    return rows
+
+
+def _worst_drift(rows) -> float:
+    return max(abs(got - ref) / ref for _, errs, _, reference in rows
+               for got, ref in zip(errs, reference))
+
+
+@pytest.mark.parametrize("k", [1.0, 2.0])
+def test_swept_rows_match_the_reference_reduction(monkeypatch, k):
+    """Every row of a swept curve is reduced in coefficient space, within
+    1e-12 relative of the pass over every quadrature point on the same x;
+    the largest order's row (delta = 0) is the reference's bitwise."""
+    rows = _spy_rows(monkeypatch)
+    res = harness.truncation_study(StudyConfig(
+        k_values=(k,), levels=(1, 2, 3), n_values=tuple(range(1, 21))))
+    assert len(rows) == 60 and all(swept for _, _, swept, _ in rows)
+    assert _worst_drift(rows) <= 1e-12
+    assert [errs for N, errs, _, _ in rows if N == 20] == \
+        [ref for N, _, _, ref in rows if N == 20]
+    assert [p.plateau_err for p in res.plateaus] == \
+        [ref[0] for N, _, _, ref in rows if N == 20]
+    assert max(res.residuals) <= 1e-10
+
+
+def test_a_row_solved_directly_takes_the_reference_bitwise(monkeypatch):
+    """An order whose capacitance solve raises LinAlgError is solved by
+    solve_linear, and its row is the reference reduction's, bitwise; every
+    other order stays swept."""
+    direct, solve_linear = [], solve_module.solve_linear
+    dense_solve = np.linalg.solve
+
+    def singular_at_order_3(a, b):
+        if a.shape == (7, 7):      # the capacitance matrix of N = 3
+            raise np.linalg.LinAlgError("Singular matrix")
+        return dense_solve(a, b)
+
+    def counting(matrix, rhs, ordering):
+        direct.append(matrix.shape)
+        return solve_linear(matrix, rhs, ordering)
+
+    monkeypatch.setattr(np.linalg, "solve", singular_at_order_3)
+    monkeypatch.setattr(solve_module, "solve_linear", counting)
+    rows = _spy_rows(monkeypatch)
+    harness.truncation_study(StudyConfig(levels=(1,),
+                                         n_values=tuple(range(1, 9))))
+    assert len(direct) == 1
+    assert [N for N, _, swept, _ in rows if not swept] == [3]
+    assert all(errs == ref for N, errs, _, ref in rows if N == 3)
+    assert _worst_drift(rows) <= 1e-12
+
+
+def test_an_expansion_point_far_from_the_rows_takes_the_reference(
+        monkeypatch):
+    """With c* far from every row's c_N, s dwarfs each row's err^2 and the
+    three-term sum would lose digits: every row takes the reference
+    reduction, bitwise, instead.  (The largest order's x then misses the
+    residual gate and is solved directly.)"""
+    coefficients = LowRankSweep.coefficients
+
+    def far(self, N):
+        c = coefficients(self, N)
+        return 1e3 * c if N == self.order else c
+
+    monkeypatch.setattr(LowRankSweep, "coefficients", far)
+    cfg = StudyConfig(levels=(2,), n_values=tuple(range(1, 9)))
+    rows = _spy_rows(monkeypatch)
+    harness.truncation_study(cfg)
+    assert not any(swept for _, _, swept, _ in rows)
+    assert all(errs == ref for _, errs, _, ref in rows)
+    # without the cancellation guard the same rows drift past the contract
+    rows.clear()
+    monkeypatch.setattr(harness, "_CANCELLATION", np.inf)
+    harness.truncation_study(cfg)
+    assert _worst_drift(rows) > 1e-12
+
+
+def test_coefficient_setup_runs_once_per_curve_before_its_first_assembly(
+        monkeypatch):
+    """A benchmark op runs from one assemble_system to the next, so the
+    per-curve coefficient set-up must come before the curve's first
+    assembly, once, and never between two of its rows."""
+    events = []
+    assemble, setup = harness.assemble_system, harness._SweepErrors.__init__
+
+    def assembling(blocks, N):
+        events.append("row")
+        return assemble(blocks, N)
+
+    def setting_up(self, *args):
+        events.append("setup")
+        setup(self, *args)
+
+    monkeypatch.setattr(harness, "assemble_system", assembling)
+    monkeypatch.setattr(harness._SweepErrors, "__init__", setting_up)
+    harness.truncation_study(StudyConfig(k_values=(1.0, 2.0), levels=(1, 2),
+                                         n_values=(1, 2, 3, 4)))
+    assert events == (["setup"] + ["row"] * 4) * 4
+
+
+def test_seed0_truncation_rows_match_the_benchmark_reference(
+        truncation_result):
+    """The benchmark's seed-0 truncation rows (k = 1, d = (1, 0), levels 1-3,
+    N = 1..20): h, N, k and dofs exactly, the errors within 1e-10 relative,
+    far inside the benchmark's own 1e-6 gate."""
+    ref = json.loads(BENCH_REFERENCE.read_text())["full"]["truncation"]
+    rows = [(r.h, r.N, r.k, r.dofs, r.err_h0, r.err_h1)
+            for r in truncation_result.reports]
+    assert len(rows) == len(ref) == 60
+    for row, want in zip(rows, ref):
+        assert row[:4] == tuple(want[:4])
+        for got, expected in zip(row[4:], want[4:]):
+            assert abs(got - expected) <= 1e-10 * abs(expected)
 
 
 def _live(kind) -> int:
