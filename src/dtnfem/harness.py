@@ -200,7 +200,9 @@ class _SweepErrors:
     """
 
     def __init__(self, quad: _ExactQuadrature, sweep: LowRankSweep | None):
-        self._sweep = sweep
+        # the sweep's kept coefficients, not the sweep: its factor and W
+        # must die with the curve, before the next curve's are built
+        self._kept = None if sweep is None else sweep.kept
         self._c_star = None if sweep is None else sweep.coefficients(
             sweep.order)
         if self._c_star is None:
@@ -210,42 +212,53 @@ class _SweepErrors:
             self._c_star = None
             return
         ns = quad._regions[0][0].num_nodes
-        diffs = list(quad._diffs(x[:2 * ns].reshape(ns, 2), x[2 * ns:]))
-        # index 0 is err_h0, index 1 err_h1 (the gradient terms added)
-        self._s = np.array(quad._squared(diffs))
         w = sweep.w[:, :len(self._c_star)]
         r = w.shape[1]
+        # the unknowns of each region and its components per node: u_x, u_y
+        # interleave over the disc nodes, then p over the annulus nodes
+        layout = ((slice(0, 2 * ns), 2), (slice(2 * ns, None), 1))
         back = np.empty((2, len(x)), dtype=complex)   # I^T (w r*) per norm
+
+        def projecting(diffs):
+            # each region's w r* goes back through the interpolation and
+            # gradient maps once the reference reduction has read the
+            # region, so their temporaries are never alive together
+            for (f_diff, g_diff), (_, interp, grad_op, area, *_), (
+                    rows, n_comp) in zip(diffs, quad._regions, layout):
+                yield f_diff, g_diff
+                n_tri, n_q = len(area), len(_TRI_QW)
+                f_w = f_diff.reshape(n_tri, n_q, n_comp)   # read: weigh it
+                f_w *= (area[:, None] * _TRI_QW)[..., None]
+                g_w = (_TRI_QW @ g_diff.reshape(n_tri, n_q, -1)).reshape(
+                    n_tri, n_comp, 2).transpose(0, 2, 1) * area[:, None, None]
+                for out, op, v in ((back[0], interp, f_w),
+                                   (back[1], grad_op, g_w)):
+                    real = np.ascontiguousarray(v).reshape(-1, n_comp).view(
+                        float)
+                    out[rows] = np.ascontiguousarray(op.T @ real).view(
+                        complex).ravel()
+
+        # index 0 is err_h0, index 1 err_h1 (the gradient terms added)
+        self._s = np.array(quad._squared(projecting(quad._diffs(
+            x[:2 * ns].reshape(ns, 2), x[2 * ns:]))))
+        back[1] += back[0]
+        parts = np.stack([back.real, back.imag], axis=1).reshape(4, -1)
+        self._h = (w.T @ parts.T).T.reshape(2, 2, r)  # [norm, re/im, column]
         self._gram = np.zeros((2, r, r))
-        for (f_diff, g_diff), (mesh, interp, grad_op, area, *_), rows in zip(
-                diffs, quad._regions, (slice(0, 2 * ns), slice(2 * ns, None))):
-            n_tri, n_q = len(area), len(_TRI_QW)
-            f_diff = f_diff.reshape(n_tri, n_q, -1)      # (T, Q, c)
-            n_comp = f_diff.shape[-1]
-            weighted = (
-                (interp, f_diff * (area[:, None] * _TRI_QW)[..., None]),
-                (grad_op, (_TRI_QW @ g_diff.reshape(n_tri, n_q, -1)).reshape(
-                    n_tri, n_comp, 2).transpose(0, 2, 1) * area[:, None, None]))
-            for out, (op, v) in zip(back, weighted):
-                real = np.ascontiguousarray(v).reshape(-1, n_comp).view(float)
-                out[rows] = np.ascontiguousarray(op.T @ real).view(
-                    complex).ravel()
-            g, _ = _p1_geometry(mesh)
+        for (mesh, *_), (rows, n_comp) in zip(quad._regions, layout):
+            g, area = _p1_geometry(mesh)
             mass = _p1_scatter(mesh, area[:, None, None] * _P1_MASS)
             stiff = _p1_scatter(
                 mesh, np.einsum("tad,tbd->tab", g, g) * area[:, None, None])
-            for comp in range(n_comp):   # u_x, u_y interleave on the disc
+            for comp in range(n_comp):
                 wc = np.ascontiguousarray(w[rows][comp::n_comp])
                 self._gram[0] += wc.T @ (mass @ wc)
                 self._gram[1] += wc.T @ (stiff @ wc)
         self._gram[1] += self._gram[0]
-        back[1] += back[0]
-        parts = np.stack([back.real, back.imag], axis=1).reshape(4, -1)
-        self._h = (w.T @ parts.T).T.reshape(2, 2, r)  # [norm, re/im, column]
 
     def errors(self, N: int):
         """(err_h0, err_h1) of order N, or None for the reference."""
-        c = None if self._c_star is None else self._sweep.kept.get(N)
+        c = None if self._c_star is None else self._kept.get(N)
         if c is None:
             return None
         delta = -self._c_star
