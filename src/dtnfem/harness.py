@@ -185,14 +185,16 @@ class _SweepErrors:
 
         err^2 = s + 2 Re(h^H delta) + delta^H G delta,
 
-    with s the err^2 of x* (the reference reduction), h = W^T I^T (w r*) and
-    G = W^T M W, plus W^T K W for err_h1 (M and K the P1 mass and stiffness
-    matrices per displacement component and region: the rule integrates P1
-    products exactly).  W is real, so delta^H G delta = Re(delta)^T G
-    Re(delta) + Im(delta)^T G Im(delta).  A row then costs O((2N+1)^2)
-    instead of a pass over every quadrature point, and the largest order's
-    row (delta = 0) is the reference's bitwise.  Expanding around x*, not y,
-    keeps s at the size of every row's err^2, so the sum loses no digits.
+    with s the err^2 of x* (the reference reduction), h = W^T I^T (w r*)
+    (w the rule's weights times the areas; the gradient map in place of I
+    for the gradient part of err_h1) and G = W^T M W, plus W^T K W for
+    err_h1 (M and K the P1 mass and stiffness matrices per displacement
+    component and region: the rule integrates P1 products exactly).  W is
+    real, so delta^H G delta = Re(delta)^T G Re(delta) + Im(delta)^T G
+    Im(delta).  A row then costs O((2N+1)^2) instead of a pass over every
+    quadrature point, and the largest order's row (delta = 0) is the
+    reference's bitwise.  Expanding around x*, not y, keeps s at the size
+    of every row's err^2, so the sum loses no digits.
 
     Orders that were solved directly, and every order of a curve without a
     sweep (or whose c* cannot be formed), take ``errors`` = None: the
