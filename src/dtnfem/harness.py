@@ -202,19 +202,18 @@ class _SweepErrors:
     """
 
     def __init__(self, quad: _ExactQuadrature, sweep: LowRankSweep | None):
+        self._kept = {}   # until c* is formed, every row takes the reference
+        c_star = None if sweep is None else sweep.coefficients(sweep.order)
+        if c_star is None:
+            return
+        x = sweep.combine(c_star)
+        if not np.all(np.isfinite(x)):
+            return
         # the sweep's kept coefficients, not the sweep: its factor and W
         # must die with the curve, before the next curve's are built
-        self._kept = None if sweep is None else sweep.kept
-        self._c_star = None if sweep is None else sweep.coefficients(
-            sweep.order)
-        if self._c_star is None:
-            return
-        x = sweep.combine(self._c_star)
-        if not np.all(np.isfinite(x)):
-            self._c_star = None
-            return
+        self._kept, self._c_star = sweep.kept, c_star
         ns = quad._regions[0][0].num_nodes
-        w = sweep.w[:, :len(self._c_star)]
+        w = sweep.w[:, :len(c_star)]
         r = w.shape[1]
         # the unknowns of each region and its components per node: u_x, u_y
         # interleave over the disc nodes, then p over the annulus nodes
@@ -260,7 +259,7 @@ class _SweepErrors:
 
     def errors(self, N: int):
         """(err_h0, err_h1) of order N, or None for the reference."""
-        c = None if self._c_star is None else self._kept.get(N)
+        c = self._kept.get(N)
         if c is None:
             return None
         delta = -self._c_star
