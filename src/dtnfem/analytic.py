@@ -16,7 +16,7 @@ transmission-residual and PDE-residual tests rather than trusted formulas.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import special as _sp
@@ -107,6 +107,10 @@ class SeriesSolution:
     pressure_coeffs: np.ndarray   # A_n
     comp_coeffs: np.ndarray       # B_n
     shear_coeffs: np.ndarray      # C_n
+    # the coefficient rows of the evaluators, per (builder, sectors), built
+    # on first use: repeated scalar calls pay for them once
+    _rows: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)
 
     def __post_init__(self):
         for arr in (self.pressure_coeffs, self.comp_coeffs, self.shear_coeffs):
@@ -188,51 +192,101 @@ def _blocks(size: int):
         yield slice(start, start + _BLOCK)
 
 
+def _sector_phases(M: int, sectors: int):
+    """cos and sin of 2 pi n j / sectors for sectors j and orders n < M,
+    shape (sectors, M).  n j is reduced mod sectors in integers first, so
+    row 0 is exactly (1, 0) and no angle reaches 2 pi."""
+    angle = (2.0 * np.pi / sectors) * (
+        np.outer(np.arange(sectors), np.arange(M)) % sectors)
+    return np.cos(angle), np.sin(angle)
+
+
+def _rotated_rows(cos_c, sin_c, phases):
+    """Rows (..., sectors, 2M) of f(t + 2 pi j / sectors) against the basis
+    rows [R_n cos(nt); R_n sin(nt)], n < M, where
+    f(t) = sum_n R_n (cos_c[n] cos(nt) + sin_c[n] sin(nt)): angle addition
+    with the phases of ``_sector_phases``."""
+    cj, sj = phases
+    c, s = cos_c[..., None, :], sin_c[..., None, :]
+    return np.concatenate([c * cj + s * sj, s * cj - c * sj], axis=-1)
+
+
+def _cached_rows(sol: SeriesSolution, build, sectors: int) -> np.ndarray:
+    key = (build, sectors)
+    if key not in sol._rows:
+        rows = build(sol, sectors)
+        rows.setflags(write=False)
+        sol._rows[key] = rows
+    return sol._rows[key]
+
+
+def _pressure_rows(sol: SeriesSolution, sectors: int) -> np.ndarray:
+    """Rows (3, sectors, 2M) of p and dp/dtheta against the basis
+    [H_n(kr) cos(nt); H_n(kr) sin(nt)], n < M, t = theta - alpha, and of
+    dp/dr against the same rows with H_n' in place of H_n.  The basis stays
+    in cos/sin, so p(-t) is p(t) bitwise for a single sector."""
+    a = sol.pressure_coeffs
+    zero = np.zeros_like(a)
+    return _rotated_rows(np.stack([a, zero, (0.5 * sol.config.k) * a]),
+                         np.stack([zero, -np.arange(sol.n_modes) * a, zero]),
+                         _sector_phases(sol.n_modes, sectors))
+
+
+def _sectored(v: np.ndarray, shape: tuple) -> np.ndarray:
+    """(sectors, points, ...) to (sectors,) + shape + (...), without the
+    sector axis for a single sector."""
+    lead = v.shape[:1] if len(v) > 1 else ()
+    return v.reshape(lead + shape + v.shape[2:])
+
+
 def eval_pressure(sol: SeriesSolution, r, theta, with_gradient: bool = False,
-                  check_domain: bool = True):
+                  check_domain: bool = True, sectors: int = 1):
     """Scattered pressure at (r, theta); optionally its polar gradient.
 
     Returns p, or (p, (dp_dr, dp_dtheta)) with with_gradient=True.  Scalars in,
-    scalars out.  The series converges for any r > 0 but only represents the
-    physical field for r >= R0; check_domain=False lifts the domain guard for
-    quadrature points of boundary triangles that cut the interface chord.
+    scalars out.  With sectors=S > 1 every output gains a leading axis of
+    length S whose entry j is taken at (r, theta + 2 pi j / S): the radial
+    and angle tables are built for the given points only, and each sector is
+    a product with phases on the mode axis.  The series converges for any
+    r > 0 but only represents the physical field for r >= R0;
+    check_domain=False lifts the domain guard for quadrature points of
+    boundary triangles that cut the interface chord.
     """
     cfg = sol.config
     rf, tf, shape = _broadcast(r, theta)
     if check_domain and np.any(rf < cfg.R0 * (1.0 - 1e-12)):
         raise ValueError("pressure series evaluated inside the solid (r < R0)")
+    if sectors < 1:
+        raise ValueError("sectors must be a positive integer")
 
     M = sol.n_modes
     k = cfg.k
     tp = tf - _incidence_angle(cfg)
-    a = sol.pressure_coeffs
-    n = np.arange(M)
+    rows = _cached_rows(sol, _pressure_rows, sectors)
+    out = np.empty((3 if with_gradient else 1, sectors, rf.size),
+                   dtype=complex)
     # the table once per distinct radius (quadrature points share radii),
-    # gathered per block with take, which returns C-contiguous rows: a fancy
-    # index returns F-ordered ones, on which the mode-sum GEMV rounds
-    # differently from the per-point tables
+    # gathered per block
     radii, at = np.unique(rf, return_inverse=True)
     H_radii = _h_table(M, k * radii)          # orders 0..M
-    p = np.empty(rf.shape, dtype=complex)
-    pr = np.empty_like(p)
-    pt = np.empty_like(p)
     for blk in _blocks(rf.size):
         H = H_radii.take(at[blk], axis=1)
-        E = _angle_table(M, tp[blk])
-        cn = E.real
-        p[blk] = a @ (H[:M] * cn)
-        if with_gradient:
-            Hm1 = np.concatenate([-H[1:2], H[:M - 1]])   # H_{-1} = -H_1
-            pr[blk] = (0.5 * k) * (a @ ((Hm1 - H[1:]) * cn))
-            pt[blk] = -(a * n) @ (H[:M] * E.imag)
+        trig = _cos_sin(_angle_table(M, tp[blk]))
+        basis = (H[:M] * trig).reshape(2 * M, -1)
+        if not with_gradient:
+            out[0, :, blk] = rows[0] @ basis
+            continue
+        out[:2, :, blk] = (rows[:2].reshape(2 * sectors, -1) @ basis
+                           ).reshape(2, sectors, -1)
+        dH = np.concatenate([-H[1:2], H[:M - 1]]) - H[1:]   # H_{-1} = -H_1
+        out[2, :, blk] = rows[2] @ (dH * trig).reshape(2 * M, -1)
 
-    def _shape(v):
-        v = v.reshape(shape)
-        return complex(v[()]) if shape == () else v
-
+    p, *grad = [_sectored(v, shape) for v in out]
+    if shape == () and sectors == 1:
+        p, grad = complex(p), [complex(g) for g in grad]
     if with_gradient:
-        return _shape(p), (_shape(pr), _shape(pt))
-    return _shape(p)
+        return p, (grad[1], grad[0])
+    return p
 
 
 def _angle_table(M: int, t: np.ndarray) -> np.ndarray:
@@ -252,6 +306,12 @@ def _angle_table(M: int, t: np.ndarray) -> np.ndarray:
     return E
 
 
+def _cos_sin(E: np.ndarray) -> np.ndarray:
+    """The real and imaginary parts of an angle table (M, n) as one strided
+    view (2, M, n): [cos(nt); sin(nt)]."""
+    return E.view(float).reshape(E.shape + (2,)).transpose(2, 0, 1)
+
+
 def _h_table(M: int, x: np.ndarray) -> np.ndarray:
     """H^(1)_n(x) for orders 0..M, shape (M+1, len(x)).
 
@@ -262,9 +322,9 @@ def _h_table(M: int, x: np.ndarray) -> np.ndarray:
     H[0] = _sp.hankel1(0, x)
     H[1] = _sp.hankel1(1, x)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        inv_x = 1.0 / x
+        scale = np.multiply.outer(2.0 * np.arange(M), 1.0 / x)   # 2n / x
         for n in range(1, M):
-            H[n + 1] = (2.0 * n) * inv_x * H[n] - H[n - 1]
+            H[n + 1] = scale[n] * H[n] - H[n - 1]
     return H
 
 
@@ -282,150 +342,117 @@ def _j_table(M: int, x: np.ndarray) -> np.ndarray:
     J[M] = _sp.jv(M, x)
     tiny = ~(np.abs(J[M]) >= _J_SEED_MIN)     # nan seeds too
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        inv_x = 1.0 / x
+        scale = np.multiply.outer(2.0 * np.arange(M + 1), 1.0 / x)
         for n in range(M, 0, -1):
-            J[n - 1] = (2.0 * n) * inv_x * J[n] - J[n + 1]
+            J[n - 1] = scale[n] * J[n] - J[n + 1]
         J *= (J[0] * _sp.j0(x) + J[1] * _sp.j1(x)) / (J[0] ** 2 + J[1] ** 2)
     if np.any(tiny):
         J[:, tiny] = _sp.jv(np.arange(M + 2)[:, None], x[None, tiny])
     return J
 
 
-def _mode_sum(c, X, Y):
-    """sum_n c[n] X[n] Y[n] over the mode axis; c complex, given as its real
-    and imaginary rows (2, M), X and Y real."""
-    v = c @ (X * Y)
-    return v[0] + 1j * v[1]
+def _exponential(cos_c, sin_c, L: int) -> np.ndarray:
+    """e_m, m = -L..L at index m + L, such that sum_m e_m J_m e^{imt} is
+    sum_n J_n (cos_c[n] cos(nt) + sin_c[n] sin(nt)), by J_{-n} = (-1)^n J_n.
+    """
+    n = np.arange(1, cos_c.shape[-1])
+    e = np.zeros(cos_c.shape[:-1] + (2 * L + 1,), dtype=complex)
+    e[..., L] = cos_c[..., 0]
+    e[..., L + n] = 0.5 * (cos_c[..., 1:] - 1j * sin_c[..., 1:])
+    e[..., L - n] = (0.5 * (-1.0) ** n) * (cos_c[..., 1:]
+                                           + 1j * sin_c[..., 1:])
+    return e
 
 
-def _coefficient_rows(coeffs, sign):
-    """The real/imaginary rows (``_mode_sum``) of the three coefficient sets
-    of a potential: coeffs, sign * n * coeffs and n^2 * coeffs."""
-    n = np.arange(len(coeffs))
-    return [np.stack([c.real, c.imag])
-            for c in (coeffs, sign * n * coeffs, coeffs * n ** 2)]
+def _trigonometric(e: np.ndarray, L: int):
+    """The inverse of ``_exponential``: (cos_c, sin_c) for orders 0..L."""
+    n = np.arange(1, L + 1)
+    up, down = e[..., L + n], (-1.0) ** n * e[..., L - n]
+    return (np.concatenate([e[..., L:L + 1], up + down], axis=-1),
+            np.concatenate([np.zeros_like(e[..., :1]), 1j * (up - down)],
+                           axis=-1))
 
 
-def _potential_derivs(rows, kappa, J, tg, cotg, second):
-    """Polar derivatives (f_r, f_t), plus (f_rr, f_rt, f_tt) if second, of the
-    potential f = sum_n coeffs[n] J_n(kappa r) tg[n], where the angular factor
-    tg[n] is cos(nt) or sin(nt), its t-derivative is sign * n * cotg[n], and
-    ``rows`` holds ``_coefficient_rows(coeffs, sign)``."""
-    c, cd, cn2 = rows
-    M = c.shape[1]
-    # J[n + 2] holds J_n for n = -2..M+1: J_{-1} = -J_1, J_{-2} = J_2
-    J = np.concatenate([J[2:3], -J[1:2], J])
-    Jn = J[2:M + 2]
-    dJ = 0.5 * (J[1:M + 1] - J[3:M + 3])
-    out = [kappa * _mode_sum(c, dJ, tg), _mode_sum(cd, Jn, cotg)]
-    if second:
-        ddJ = 0.25 * (J[:M] - 2.0 * Jn + J[4:M + 4])
-        out += [kappa ** 2 * _mode_sum(c, ddJ, tg),
-                kappa * _mode_sum(cd, dJ, cotg),
-                -_mode_sum(cn2, Jn, tg)]
-    return out
+def _displacement_rows(sol: SeriesSolution, sectors: int) -> np.ndarray:
+    """Real rows (sectors, 6 outputs, re/im, 4(M+2)) of u_x, u_y, du_x/dx,
+    du_x/dy, du_y/dx and du_y/dy against the real basis
+    [J_l(k_p r) cos(lt); J_l(k_p r) sin(lt); J_l(k_s r) cos(lt);
+    J_l(k_s r) sin(lt)], l = 0..M+1, t = theta - alpha.
 
-
-def _cartesian_first(fr, ft, r, c, s):
-    return c * fr - s * ft / r, s * fr + c * ft / r
-
-
-def _polar_factors(r, c, s):
-    """The factors both potentials' ``_cartesian_second`` share: c^2, 2cs,
-    s^2, cs, c^2 - s^2 and r^2."""
-    cc, ss = c * c, s * s
-    return cc, 2 * c * s, ss, c * s, cc - ss, r ** 2
-
-
-def _cartesian_second(fr, ft, frr, frt, ftt, r, factors):
-    cc, cs2, ss, cs, dcs, r2 = factors
-    fxx = cc * frr - cs2 * frt / r + ss * ftt / r2 \
-        + ss * fr / r + cs2 * ft / r2
-    fyy = ss * frr + cs2 * frt / r + cc * ftt / r2 \
-        + cc * fr / r - cs2 * ft / r2
-    fxy = cs * frr + dcs * frt / r - cs * ftt / r2 \
-        - cs * fr / r - dcs * ft / r2
-    return fxx, fxy, fyy
-
-
-def _origin_values(sol: SeriesSolution):
-    """Limits of u and grad(u) at r = 0 in the incidence-aligned frame."""
+    With D+- = d_x +- i d_y, u_x + i u_y = D+(phi - i psi) and
+    u_x - i u_y = D-(phi + i psi), and D+- maps J_m(kr) e^{im theta} to
+    -+k J_{m+-1}(kr) e^{i(m+-1) theta}.  So u_x +- i u_y are the potentials'
+    modes shifted by +-1, and the Jacobian comes from D+-(u_x +- i u_y),
+    shifted by +2, 0, 0 and -2: every output is a mode sum with no 1/r, at
+    the origin too, and turns with the sector as any mode sum does.
+    """
     cfg = sol.config
-    kp, ks = cfg.k_p, cfg.k_s
-    B, C = sol.comp_coeffs, sol.shear_coeffs
-    b0 = B[0] if sol.n_modes > 0 else 0.0
-    b1 = B[1] if sol.n_modes > 1 else 0.0
-    c1 = C[1] if sol.n_modes > 1 else 0.0
-    b2 = B[2] if sol.n_modes > 2 else 0.0
-    c2 = C[2] if sol.n_modes > 2 else 0.0
-    u = np.array([0.5 * (b1 * kp + c1 * ks), 0.0], dtype=complex)
-    mix = 0.25 * (b2 * kp ** 2 + c2 * ks ** 2)
-    jac = np.array([[-0.5 * b0 * kp ** 2 + mix, 0.0],
-                    [0.0, -0.5 * b0 * kp ** 2 - mix]], dtype=complex)
-    return u, jac
+    L = sol.n_modes + 1     # the largest order after a shift by 2
+    B, C, zero = sol.comp_coeffs, sol.shear_coeffs, np.zeros(sol.n_modes)
+    # [potential: phi at k_p, psi at k_s][phi - i psi, phi + i psi][m]
+    e = _exponential(np.array([[B, B], [zero, zero]]),
+                     np.array([[zero, zero], [-1j * C, 1j * C]]), L)
+    minus, plus = e[:, 0], e[:, 1]
+    kappa = np.array([[cfg.k_p], [cfg.k_s]])
+    turn = np.exp(1j * _incidence_angle(cfg))   # e^{i alpha}
+    w = -kappa * turn * np.roll(minus, 1, axis=-1)          # u_x + i u_y
+    v = kappa * np.conj(turn) * np.roll(plus, -1, axis=-1)  # u_x - i u_y
+    dw_plus = kappa ** 2 * turn ** 2 * np.roll(minus, 2, axis=-1)
+    dw_minus = -kappa ** 2 * minus
+    dv_plus = -kappa ** 2 * plus
+    dv_minus = kappa ** 2 * np.conj(turn) ** 2 * np.roll(plus, -2, axis=-1)
+    # D+ w = shear + i twist, D- v = shear - i twist, D- w = div + i curl
+    # and D+ v = div - i curl, with shear = du_x/dx - du_y/dy,
+    # twist = du_x/dy + du_y/dx and curl = du_y/dx - du_x/dy
+    div, curl = 0.5 * (dw_minus + dv_plus), -0.5j * (dw_minus - dv_plus)
+    shear, twist = 0.5 * (dw_plus + dv_minus), -0.5j * (dw_plus - dv_minus)
+    outputs = np.stack([0.5 * (w + v), -0.5j * (w - v),
+                        0.5 * (div + shear), 0.5 * (twist - curl),
+                        0.5 * (twist + curl), 0.5 * (div - shear)])
+    rows = _rotated_rows(*_trigonometric(outputs, L),
+                         _sector_phases(L + 1, sectors))
+    rows = rows.transpose(2, 0, 1, 3).reshape(sectors, 6, -1)
+    return np.stack([rows.real, rows.imag], axis=2)
 
 
 def eval_displacement(sol: SeriesSolution, r, theta,
-                      with_gradient: bool = False, check_domain: bool = True):
+                      with_gradient: bool = False, check_domain: bool = True,
+                      sectors: int = 1):
     """Solid displacement (Cartesian 2-vector), optionally with its Jacobian
-    du_i/dx_j.  Shapes: u (..., 2), jacobian (..., 2, 2)."""
+    du_i/dx_j.  Shapes: u (..., 2), jacobian (..., 2, 2); with sectors=S > 1
+    both gain a leading axis of length S, as in ``eval_pressure``."""
     cfg = sol.config
     rf, tf, shape = _broadcast(r, theta)
     if check_domain and np.any(rf > cfg.R0 * (1.0 + 1e-12)):
         raise ValueError("displacement series evaluated outside the solid")
+    if sectors < 1:
+        raise ValueError("sectors must be a positive integer")
 
-    alpha = _incidence_angle(cfg)
-    tp = tf - alpha
-    at_origin = rf < 1e-12 * cfg.R0
-    # series path divides by r; park origin points at a dummy radius and
-    # replace their results with the analytic limits afterwards
-    rsafe = np.where(at_origin, cfg.R0, rf)
-
-    M = sol.n_modes
+    L = sol.n_modes + 1
+    n_out = 6 if with_gradient else 2
+    rows = _cached_rows(sol, _displacement_rows, sectors)[:, :n_out]
+    rows = rows.reshape(sectors * 2 * n_out, -1)
+    tp = tf - _incidence_angle(cfg)
     # radial tables once per distinct radius, as in eval_pressure
-    radii, at = np.unique(rsafe, return_inverse=True)
-    Jp = _j_table(M, cfg.k_p * radii)
-    Js = _j_table(M, cfg.k_s * radii)
-    comp_rows = _coefficient_rows(sol.comp_coeffs, -1.0)
-    shear_rows = _coefficient_rows(sol.shear_coeffs, 1.0)
-    u = np.empty((rf.size, 2), dtype=complex)
-    jac = np.empty((rf.size, 2, 2), dtype=complex) if with_gradient else None
+    radii, at = np.unique(rf, return_inverse=True)
+    J_radii = np.stack([_j_table(sol.n_modes, cfg.k_p * radii),
+                        _j_table(sol.n_modes, cfg.k_s * radii)])
+    # u and the Jacobian's four entries; each block's sums are written
+    # through their float views (sector, point, output and re/im)
+    outs = [np.empty((sectors, rf.size, n), dtype=complex)
+            for n in ((2, 4) if with_gradient else (2,))]
     for blk in _blocks(rf.size):
-        rb = rsafe[blk]
-        E = _angle_table(M, tp[blk])
-        cn, sn = E.real, E.imag
-        phr, pht, *ph2 = _potential_derivs(
-            comp_rows, cfg.k_p, Jp.take(at[blk], axis=1), cn, sn,
-            with_gradient)
-        psr, pst, *ps2 = _potential_derivs(
-            shear_rows, cfg.k_s, Js.take(at[blk], axis=1), sn, cn,
-            with_gradient)
-        c, s = np.cos(tf[blk]), np.sin(tf[blk])
-        phx, phy = _cartesian_first(phr, pht, rb, c, s)
-        psx, psy = _cartesian_first(psr, pst, rb, c, s)
-        u[blk, 0] = phx + psy
-        u[blk, 1] = phy - psx
-        if with_gradient:
-            factors = _polar_factors(rb, c, s)
-            phxx, phxy, phyy = _cartesian_second(phr, pht, *ph2, rb, factors)
-            psxx, psxy, psyy = _cartesian_second(psr, pst, *ps2, rb, factors)
-            jac[blk, 0, 0] = phxx + psxy
-            jac[blk, 0, 1] = phxy + psyy
-            jac[blk, 1, 0] = phxy - psxx
-            jac[blk, 1, 1] = phyy - psxy
+        J = J_radii.take(at[blk], axis=2)
+        basis = J[:, None] * _cos_sin(_angle_table(L + 1, tp[blk]))
+        sums = (rows @ basis.reshape(rows.shape[1], -1)).reshape(
+            sectors, 2 * n_out, -1)
+        for out, part in zip(outs, (slice(0, 4), slice(4, 12))):
+            out.view(float)[:, blk] = sums[:, part].transpose(0, 2, 1)
 
-    if np.any(at_origin):
-        u0, j0 = _origin_values(sol)
-        Q = np.array([[np.cos(alpha), -np.sin(alpha)],
-                      [np.sin(alpha), np.cos(alpha)]])
-        u[at_origin] = Q @ u0
-        if with_gradient:
-            jac[at_origin] = Q @ j0 @ Q.T
-
-    u = u.reshape(shape + (2,))
+    u = _sectored(outs[0], shape)
     if not with_gradient:
         return u
-    return u, jac.reshape(shape + (2, 2))
+    return u, _sectored(outs[1].reshape(outs[1].shape[:2] + (2, 2)), shape)
 
 
 def trace_mode_coefficients(sol: SeriesSolution) -> np.ndarray:

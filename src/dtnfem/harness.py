@@ -75,9 +75,56 @@ class ErrorReport:
     seconds: float
 
 
-def _quad_points(mesh: Mesh) -> np.ndarray:
-    """Quadrature points (T, Q, 2) of every triangle."""
-    return np.einsum("qa,tad->tqd", _TRI_QP, mesh.nodes[mesh.triangles])
+def _quad_points(mesh: Mesh, triangles=slice(None)) -> np.ndarray:
+    """Quadrature points (T, Q, 2) of every triangle, or of ``triangles``."""
+    return np.einsum("qa,tad->tqd", _TRI_QP,
+                     mesh.nodes[mesh.triangles[triangles]])
+
+
+def _oracle_tables(mesh: Mesh, oracle, exact: analytic.SeriesSolution):
+    """The oracle value and Cartesian gradient at every quadrature point,
+    (T, Q[, 2]) and (T, Q[, 2], 2), in triangle order.
+
+    The oracle runs on the points of row 0 of the mesh's rotation table
+    only: row j's points are row 0's turned by 2 pi j / S, which the oracle
+    reaches by a phase product on its mode axis (``sectors``).  Each sector
+    is written into triangle order through its row.  A mesh with no table
+    is one sector.
+    """
+    table = (np.arange(mesh.num_triangles)[None] if mesh.rotations is None
+             else mesh.rotations)
+    sectors = len(table)
+    pts = _quad_points(mesh, table[0])
+    r = np.hypot(pts[..., 0], pts[..., 1])
+    th = np.arctan2(pts[..., 1], pts[..., 0])
+    # boundary triangles are chords of the circles, so a few quadrature
+    # points sit O(h^2) outside the exact regions: lift the domain guard
+    value, grad = oracle(exact, r, th, with_gradient=True,
+                         check_domain=False, sectors=sectors)
+    lead = (sectors,) + r.shape
+
+    def in_triangle_order(v):
+        # the oracle's outputs lead with the sector axis only when S > 1
+        v = v.reshape(lead + v.shape[(sectors > 1) + r.ndim:])
+        out = np.empty((mesh.num_triangles,) + v.shape[2:], dtype=v.dtype)
+        out[table] = v
+        return out
+
+    if oracle is not analytic.eval_pressure:
+        return in_triangle_order(value), in_triangle_order(grad)
+    # polar -> Cartesian at each sector's angles, theta + 2 pi j / S
+    pr, pt = (g.reshape(lead) for g in grad)
+    cartesian = np.empty((mesh.num_triangles,) + r.shape[1:] + (2,),
+                         dtype=complex)
+    c, s = np.cos(th), np.sin(th)
+    for j, rows in enumerate(table):
+        turn = 2.0 * np.pi * j / sectors
+        cj = c * np.cos(turn) - s * np.sin(turn)
+        sj = s * np.cos(turn) + c * np.sin(turn)
+        pt_r = pt[j] / r
+        cartesian[rows, ..., 0] = cj * pr[j] - sj * pt_r
+        cartesian[rows, ..., 1] = sj * pr[j] + cj * pt_r
+    return in_triangle_order(value), cartesian
 
 
 def _vertex_rows(mesh: Mesh, entries: np.ndarray) -> sp.csr_matrix:
@@ -112,18 +159,7 @@ class _ExactQuadrature:
         self._regions = []
         for mesh, oracle in ((disc_mesh, analytic.eval_displacement),
                              (annulus_mesh, analytic.eval_pressure)):
-            pts = _quad_points(mesh)
-            r = np.hypot(pts[..., 0], pts[..., 1])
-            th = np.arctan2(pts[..., 1], pts[..., 0])
-            # boundary triangles are chords of the circles, so a few
-            # quadrature points sit O(h^2) outside the exact regions: lift the
-            # domain guard
-            value, grad = oracle(exact, r, th, with_gradient=True,
-                                 check_domain=False)
-            if oracle is analytic.eval_pressure:   # polar -> Cartesian
-                (pr, pt), c, s = grad, np.cos(th), np.sin(th)
-                grad = np.stack([c * pr - s * pt / r, s * pr + c * pt / r],
-                                axis=-1)
+            value, grad = _oracle_tables(mesh, oracle, exact)
             grads, area = _p1_geometry(mesh)
             interp = _vertex_rows(mesh, np.broadcast_to(
                 _TRI_QP, (len(area), *_TRI_QP.shape)))
@@ -487,6 +523,9 @@ def truncation_study(cfg: StudyConfig) -> TruncationResult:
             plateaus.append(PlateauInfo(k=k, level=level, h=quad.h,
                                         n_star=n_star,
                                         plateau_err=float(errs[-1])))
+            # the curve's A0, factor, W and oracle tables die with it, not
+            # once the next curve's have been built
+            del blocks, sweep, quad, swept, sol
     return TruncationResult(reports=reports, plateaus=plateaus,
                             residuals=residuals)
 

@@ -38,6 +38,10 @@ class Mesh:
         by angle along its circle
     boundary_tags : (E,) tuple of GAMMA / GAMMA_R
     region : DISC or ANNULUS
+    rotations : (S, T/S) int array, or None for a mesh with no known
+        symmetry: row j lists the triangles that are row 0's turned by
+        2 pi j / S about the origin, in the same order and with the same
+        local vertex order
     """
 
     nodes: np.ndarray
@@ -45,10 +49,13 @@ class Mesh:
     boundary_edges: np.ndarray
     boundary_tags: tuple
     region: str
+    rotations: np.ndarray | None = None
 
     def __post_init__(self):
-        for arr in (self.nodes, self.triangles, self.boundary_edges):
-            arr.setflags(write=False)
+        for arr in (self.nodes, self.triangles, self.boundary_edges,
+                    self.rotations):
+            if arr is not None:
+                arr.setflags(write=False)
 
     @property
     def num_nodes(self) -> int:
@@ -143,7 +150,8 @@ def _polar_mesh(radii, tags, n_angular: int, region: str) -> Mesh:
     rings split into quads along the inner->outer diagonal.  A leading radius
     of 0 is the centre node, fanned to the next ring.  The boundary loops are
     the inner ring (unless it is the centre) and the outer ring, in the order
-    of ``tags``."""
+    of ``tags``.  Row j of the rotation table is sector j: its fan triangle,
+    then the two triangles of its cell in each band."""
     fan = int(radii[0] == 0)
     i = np.arange(n_angular)
     j = np.roll(i, -1)
@@ -155,6 +163,9 @@ def _polar_mesh(radii, tags, n_angular: int, region: str) -> Mesh:
     bands = np.stack([a, d, c, a, c, b], axis=-1).reshape(-1, 3)
     fans = np.column_stack([np.zeros_like(i), 1 + i, 1 + j])[:fan * n_angular]
     loops = bases[[-1] if fan else [0, -1]]
+    cells = (2 * n_angular * np.arange(len(bases) - 1)[:, None]
+             + np.arange(2)).ravel() + fan * n_angular
+    rotations = np.hstack([i[:, None], cells + 2 * i[:, None]])[:, 1 - fan:]
     return Mesh(
         nodes=nodes,
         triangles=np.vstack([fans, bands]).astype(np.int64),
@@ -162,6 +173,7 @@ def _polar_mesh(radii, tags, n_angular: int, region: str) -> Mesh:
                                   for base in loops]).astype(np.int64),
         boundary_tags=tuple(np.repeat(tags, n_angular).tolist()),
         region=region,
+        rotations=rotations,
     )
 
 
@@ -194,7 +206,8 @@ def refine(mesh: Mesh) -> Mesh:
     everything else stays at the straight-edge midpoint, so triangle count is
     exactly 4x and boundary loops/tag ordering are preserved.  New nodes are
     numbered in the order a walk over the triangles, edges (a,b), (b,c),
-    (c,a), first meets their edges.
+    (c,a), first meets their edges.  Children keep their parent's local
+    vertex order, so the rotation table carries over child by child.
     """
     v = mesh.num_nodes
     ends = np.stack([mesh.triangles, np.roll(mesh.triangles, -1, axis=1)],
@@ -234,6 +247,9 @@ def refine(mesh: Mesh) -> Mesh:
         boundary_edges=np.column_stack([a, mid, mid, b]).reshape(-1, 2),
         boundary_tags=tuple(np.repeat(tags, 2).tolist()),
         region=mesh.region,
+        rotations=None if mesh.rotations is None else (
+            4 * mesh.rotations[..., None] + np.arange(4)).reshape(
+                len(mesh.rotations), -1),
     )
 
 

@@ -345,17 +345,36 @@ def _reference_potential(coeffs, kappa, r, tp, trig):
     return fr, ft, frr, frt, ftt
 
 
+def _cartesian_first(fr, ft, r, c, s):
+    return c * fr - s * ft / r, s * fr + c * ft / r
+
+
+def _cartesian_second(fr, ft, frr, frt, ftt, r, c, s):
+    """f_xx, f_xy and f_yy from the polar derivatives (chain rule)."""
+    cc, cs2, ss, cs, dcs, r2 = c * c, 2 * c * s, s * s, c * s, c * c - s * s, \
+        r ** 2
+    fxx = cc * frr - cs2 * frt / r + ss * ftt / r2 \
+        + ss * fr / r + cs2 * ft / r2
+    fyy = ss * frr + cs2 * frt / r + cc * ftt / r2 \
+        + cc * fr / r - cs2 * ft / r2
+    fxy = cs * frr + dcs * frt / r - cs * ftt / r2 \
+        - cs * fr / r - dcs * ft / r2
+    return fxx, fxy, fyy
+
+
 def _reference_displacement(sol, r, th):
+    """u = grad(phi) + (d_y psi, -d_x psi) from the per-mode polar
+    derivatives of the potentials, by the polar chain rule: the form the
+    oracle had before it summed shifted modes in Cartesian form."""
     cfg = sol.config
     tp = th - np.arctan2(cfg.d[1], cfg.d[0])
     ph = _reference_potential(sol.comp_coeffs, cfg.k_p, r, tp, np.cos)
     ps = _reference_potential(sol.shear_coeffs, cfg.k_s, r, tp, np.sin)
     c, s = np.cos(th), np.sin(th)
-    phx, phy = analytic._cartesian_first(ph[0], ph[1], r, c, s)
-    psx, psy = analytic._cartesian_first(ps[0], ps[1], r, c, s)
-    factors = analytic._polar_factors(r, c, s)
-    phxx, phxy, phyy = analytic._cartesian_second(*ph, r, factors)
-    psxx, psxy, psyy = analytic._cartesian_second(*ps, r, factors)
+    phx, phy = _cartesian_first(ph[0], ph[1], r, c, s)
+    psx, psy = _cartesian_first(ps[0], ps[1], r, c, s)
+    phxx, phxy, phyy = _cartesian_second(*ph, r, c, s)
+    psxx, psxy, psyy = _cartesian_second(*ps, r, c, s)
     u = np.stack([phx + psy, phy - psx], axis=-1)
     jac = np.stack([np.stack([phxx + psxy, phxy + psyy], axis=-1),
                     np.stack([phxy - psxx, phyy - psxy], axis=-1)], axis=-2)
@@ -511,3 +530,51 @@ def test_scalar_oracle_calls_equal_one_batched_call(cfg):
                       for a, b in zip(r_f, th)])
     assert _relative_to_max(u_one, u) <= 1e-12
     assert _relative_to_max(p_one, p) <= 1e-12
+
+
+# ---------------------------------------------------------- sector sums
+#
+# With sectors=S the oracle evaluates the radial and angle tables at the
+# given points only and reaches theta + 2 pi j / S by phases on the mode
+# axis.  The reference is one single-sector call at the turned points.
+
+OFF_AXIS = (float(np.cos(0.7)), float(np.sin(0.7)))
+
+
+@pytest.mark.parametrize("cfg", [
+    PhysicalConfig(k=1.0, d=OFF_AXIS), PhysicalConfig(k=4.0, d=OFF_AXIS),
+    PhysicalConfig(mu=0.05, d=OFF_AXIS)], ids=["k1", "k4", "soft_solid"])
+@pytest.mark.parametrize("sectors", [8, 16])
+def test_sectors_are_single_sector_calls_at_the_turned_points(cfg, sectors):
+    """Values, polar pressure gradients and Jacobians of every sector
+    within 1e-12 of their maximum, over more points than one block, the
+    origin included."""
+    sol = analytic.solve_modes(cfg)
+    rng = np.random.default_rng(sectors)
+    th = rng.uniform(0.0, 2 * np.pi / sectors, 1500)
+    turned = th + (2 * np.pi / sectors) * np.arange(sectors)[:, None]
+    r_f = np.sqrt(rng.uniform(1.0, 4.0, th.size))
+    r_s = np.append(np.sqrt(rng.uniform(0.0, 1.0, th.size - 1)), 0.0)
+
+    p, (pr, pt) = analytic.eval_pressure(sol, r_f, th, with_gradient=True,
+                                         sectors=sectors)
+    p1, (pr1, pt1) = analytic.eval_pressure(sol, r_f, turned,
+                                            with_gradient=True)
+    u, jac = analytic.eval_displacement(sol, r_s, th, with_gradient=True,
+                                        sectors=sectors)
+    u1, jac1 = analytic.eval_displacement(sol, r_s, turned,
+                                          with_gradient=True)
+    for got, ref in ((p, p1), (pr, pr1), (pt, pt1), (u, u1), (jac, jac1)):
+        assert got.shape == ref.shape
+        assert _relative_to_max(got, ref) <= 1e-12
+
+
+def test_a_scalar_point_gains_only_the_sector_axis(base_series):
+    p = analytic.eval_pressure(base_series, 1.5, 0.3, sectors=4)
+    u, jac = analytic.eval_displacement(base_series, 0.5, 0.3,
+                                        with_gradient=True, sectors=4)
+    assert (p.shape, u.shape, jac.shape) == ((4,), (4, 2), (4, 2, 2))
+    one = analytic.eval_pressure(base_series, 1.5, 0.3)
+    assert abs(p[0] - one) <= 1e-14 * abs(one)
+    with pytest.raises(ValueError):
+        analytic.eval_pressure(base_series, 1.5, 0.3, sectors=0)

@@ -1,3 +1,4 @@
+import hashlib
 import warnings
 
 import numpy as np
@@ -364,3 +365,16 @@ def test_overflowing_mode_is_a_numerical_failure_without_warnings(
     err = capsys.readouterr().err
     assert "numerical failure: mode " in err
     assert "Traceback" not in err and "Warning" not in err
+
+
+@pytest.mark.parametrize("region, digest", [
+    ("disc", "996956e464a351343cf569d82ed33f5045183c5e25a4afb0d697d2ee0b96ff55"),
+    ("annulus",
+     "1957a8f496fa7512fde44f10dfee7a50b9ec938b7380bd9d90484d3b2c7836b7")])
+def test_mesh_dump_bytes_are_pinned(tmp_path, region, digest):
+    """The dump of the default pair at level 2 is byte for byte what it was
+    before meshes carried a rotation table: the table is not written."""
+    out = tmp_path / "mesh.txt"
+    assert run(["mesh-dump", "--region", region, "--refine", "2",
+                "--output", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

@@ -2,6 +2,7 @@ import gc
 import importlib
 import json
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -122,8 +123,17 @@ def test_error_norms_exact_for_linear_fields(base_series, mesh_pairs,
     coeff_u = np.array([[0.2, 1.3, -0.7], [-0.1, 0.4, 0.9]])
     coeff_p = np.array([0.5, -1.1, 0.3])
 
+    def turned(r, theta, sectors):
+        """The oracle's points for ``sectors``: theta + 2 pi j / S on a
+        leading axis, which a single sector does not have."""
+        theta = np.asarray(theta) + (2 * np.pi / sectors) * np.arange(
+            sectors).reshape((-1,) + (1,) * np.ndim(theta))
+        r = np.broadcast_to(r, theta.shape)
+        return (r[0], theta[0]) if sectors == 1 else (r, theta)
+
     def fake_displacement(sol, r, theta, with_gradient=False,
-                          check_domain=True):
+                          check_domain=True, sectors=1):
+        r, theta = turned(r, theta, sectors)
         x, y = np.asarray(r) * np.cos(theta), np.asarray(r) * np.sin(theta)
         u = np.stack([coeff_u[c, 0] + coeff_u[c, 1] * x + coeff_u[c, 2] * y
                       for c in range(2)], axis=-1).astype(complex)
@@ -134,7 +144,9 @@ def test_error_norms_exact_for_linear_fields(base_series, mesh_pairs,
         jac[..., 1, 0], jac[..., 1, 1] = coeff_u[1, 1], coeff_u[1, 2]
         return u, jac
 
-    def fake_pressure(sol, r, theta, with_gradient=False, check_domain=True):
+    def fake_pressure(sol, r, theta, with_gradient=False, check_domain=True,
+                      sectors=1):
+        r, theta = turned(r, theta, sectors)
         r = np.asarray(r, dtype=float)
         x, y = r * np.cos(theta), r * np.sin(theta)
         p = (coeff_p[0] + coeff_p[1] * x + coeff_p[2] * y).astype(complex)
@@ -447,8 +459,74 @@ def test_seed0_truncation_rows_match_the_benchmark_reference(
             assert abs(got - expected) <= 1e-10 * abs(expected)
 
 
+def test_seed0_convergence_rows_match_the_benchmark_reference(
+        convergence_result):
+    """The benchmark's seed-0 convergence rows at levels 1-3 (k = 1,
+    d = (1, 0), N = 20): h, N, k and dofs exactly, the errors within 1e-10
+    relative, far inside the benchmark's own 1e-6 gate."""
+    ref = json.loads(BENCH_REFERENCE.read_text())["full"]["convergence"]
+    rows = [(r.h, r.N, r.k, r.dofs, r.err_h0, r.err_h1)
+            for r in convergence_result.reports]
+    assert len(rows) == 3 <= len(ref)
+    for row, want in zip(rows, ref):
+        assert row[:4] == tuple(want[:4])
+        for got, expected in zip(row[4:], want[4:]):
+            assert abs(got - expected) <= 1e-10 * abs(expected)
+
+
+@pytest.mark.parametrize("k", [1.0, 4.0])
+def test_oracle_tables_through_the_rotation_table_match_one_sector(
+        mesh_pairs, k):
+    """The oracle at row 0's quadrature points, turned to every sector by
+    phases and placed through the rotation table, against one sector over
+    every point (the table removed): tables within 1e-12 of their maximum,
+    both norms within 1e-12 relative."""
+    exact = analytic.solve_modes(PhysicalConfig(k=k, d=(0.6, 0.8)))
+    disc, ann = mesh_pairs[2]
+    plain = [replace(mesh, rotations=None) for mesh in (disc, ann)]
+    assert disc.rotations.shape[0] == 16
+    sectored = harness._ExactQuadrature(disc, ann, exact)
+    single = harness._ExactQuadrature(*plain, exact)
+    for got, ref in zip(sectored._regions, single._regions):
+        for a, b in zip(got[-2:], ref[-2:]):
+            assert a.shape == b.shape
+            assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+    for sol in (interpolant_solution(exact, disc, ann), FieldSolution(
+            u_nodal=np.zeros((disc.num_nodes, 2), dtype=complex),
+            p_nodal=np.zeros(ann.num_nodes, dtype=complex),
+            config=exact.config, disc_mesh=disc, annulus_mesh=ann,
+            residual=0.0)):
+        for a, b in zip(sectored.errors(sol.u_nodal, sol.p_nodal),
+                        single.errors(sol.u_nodal, sol.p_nodal)):
+            assert abs(a - b) <= 1e-12 * b
+
+
 def _live(kind) -> int:
     return sum(isinstance(obj, kind) for obj in gc.get_objects())
+
+
+def test_truncation_curve_is_freed_before_the_next_curve_is_built(
+        monkeypatch):
+    """Each curve drops its blocks, sweep (the A0 factor and W) and oracle
+    tables at its end: when a curve's LowRankSweep is constructed, the only
+    SystemBlocks alive is that curve's, and no earlier LowRankSweep or
+    _ExactQuadrature is."""
+    quad_type = harness._ExactQuadrature
+    seen, init = [], LowRankSweep.__init__
+
+    def constructing(self, *args):
+        seen.append((_live(LowRankSweep) - sweeps0,
+                     _live(SystemBlocks) - blocks0, _live(quad_type) - quad0))
+        init(self, *args)
+
+    monkeypatch.setattr(LowRankSweep, "__init__", constructing)
+    gc.collect()
+    sweeps0, blocks0 = _live(LowRankSweep), _live(SystemBlocks)
+    quad0 = _live(quad_type)
+    harness.truncation_study(StudyConfig(k_values=(1.0, 2.0), levels=(1, 2),
+                                         n_values=(1, 2, 3)))
+    # the sweep being built is itself alive at its own __init__
+    assert seen == [(1, 1, 0)] * 4
 
 
 def test_single_order_row_frees_the_blocks_before_the_factorization(
