@@ -212,6 +212,9 @@ def _rotated_rows(cos_c, sin_c, phases):
 
 
 def _cached_rows(sol: SeriesSolution, build, sectors: int) -> np.ndarray:
+    """``build(sol, sectors)``, built once per solution and sector count."""
+    if sectors < 1:
+        raise ValueError("sectors must be a positive integer")
     key = (build, sectors)
     if key not in sol._rows:
         rows = build(sol, sectors)
@@ -256,8 +259,6 @@ def eval_pressure(sol: SeriesSolution, r, theta, with_gradient: bool = False,
     rf, tf, shape = _broadcast(r, theta)
     if check_domain and np.any(rf < cfg.R0 * (1.0 - 1e-12)):
         raise ValueError("pressure series evaluated inside the solid (r < R0)")
-    if sectors < 1:
-        raise ValueError("sectors must be a positive integer")
 
     M = sol.n_modes
     k = cfg.k
@@ -281,12 +282,13 @@ def eval_pressure(sol: SeriesSolution, r, theta, with_gradient: bool = False,
         dH = np.concatenate([-H[1:2], H[:M - 1]]) - H[1:]   # H_{-1} = -H_1
         out[2, :, blk] = rows[2] @ (dH * trig).reshape(2 * M, -1)
 
-    p, *grad = [_sectored(v, shape) for v in out]
+    values = [_sectored(v, shape) for v in out]   # p, dp/dtheta, dp/dr
     if shape == () and sectors == 1:
-        p, grad = complex(p), [complex(g) for g in grad]
-    if with_gradient:
-        return p, (grad[1], grad[0])
-    return p
+        values = [complex(v) for v in values]
+    if not with_gradient:
+        return values[0]
+    p, pt, pr = values
+    return p, (pr, pt)
 
 
 def _angle_table(M: int, t: np.ndarray) -> np.ndarray:
@@ -425,8 +427,6 @@ def eval_displacement(sol: SeriesSolution, r, theta,
     rf, tf, shape = _broadcast(r, theta)
     if check_domain and np.any(rf > cfg.R0 * (1.0 + 1e-12)):
         raise ValueError("displacement series evaluated outside the solid")
-    if sectors < 1:
-        raise ValueError("sectors must be a positive integer")
 
     L = sol.n_modes + 1
     n_out = 6 if with_gradient else 2
