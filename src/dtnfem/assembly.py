@@ -12,8 +12,8 @@ couplings through the outward normal of the solid; B: the truncated
 absorbing-boundary matrix subtracted into the pressure-pressure block.  The
 N-independent matrix A0 = [[A1, C4], [C3, A2]] is assembled once; each order
 N subtracts its B = U diag(d) U^T at fixed slots of A0's pattern.  Every
-system of a mesh pair is factored in one nested-dissection order
-(``SystemBlocks.ordering``) built from the unknowns' coordinates.
+system of a polar mesh pair is factored in sector-Fourier space (``solve``
+module) through the pair's sector table (``Sectors``).
 Volume element integrals are exact for P1; boundary loads use 4-point Gauss
 per edge.
 """
@@ -30,14 +30,12 @@ from .config import PhysicalConfig
 from .mesh import GAMMA, GAMMA_R, BoundaryTrace, Mesh, boundary_trace
 
 __all__ = [
-    "DofMap", "FemSystem", "SystemBlocks", "PhysicalConfig",
+    "DofMap", "FemSystem", "Sectors", "SystemBlocks", "PhysicalConfig",
     "assemble_elastic", "assemble_helmholtz", "assemble_coupling",
     "assemble_load", "assemble_blocks", "assemble_system",
 ]
 
 _P1_MASS = (np.ones((3, 3)) + np.eye(3)) / 12.0
-
-_ND_LEAF = 64   # parts of at most this many unknowns are not cut further
 
 # 4-point Gauss-Legendre on [-1, 1] for the oscillatory boundary loads
 _GAUSS_X = np.array([
@@ -217,65 +215,46 @@ def assemble_load(disc_mesh: Mesh, annulus_mesh: Mesh, config: PhysicalConfig,
     return rhs
 
 
-def _dissect(nodes, coords, rank, width, nbr, right):
-    """``nodes`` of one part in elimination order: left, right, separator.
-    ``coords`` is (2, m); ``right`` is all False, of length m + 1.
+@dataclass(frozen=True)
+class Sectors:
+    """Rotation-sector table of a mesh pair's unknowns (``solve`` module),
+    in the basis where disc node i carries v+- = (u_x +- i u_y) / sqrt(2)
+    at (2i, 2i+1), the first ``pairs`` unknowns.  ``orbits[j, q]`` is slot
+    q's unknown turned by 2 pi j / S; the disc centre, which no turn moves,
+    fills its columns.  D A is symmetric for D = diag(``scale`` =
+    rho_f omega^2 on displacements, 1 on pressures)."""
 
-    Module level on purpose: a recursive closure holds itself in its own
-    cell, a reference cycle that keeps ``nbr`` and ``right`` alive until the
-    cyclic garbage collector runs."""
-    if width[nodes].sum() <= _ND_LEAF:
-        return nodes
-    span = np.ptp(coords.take(nodes, axis=1), axis=1)
-    nodes = nodes[np.argsort(rank[int(span[1] > span[0])].take(nodes))]
-    left, rest = nodes[:len(nodes) // 2], nodes[len(nodes) // 2:]
-    right[rest] = True
-    sep = right.take(nbr.take(left, axis=0)).any(axis=1)
-    right[rest] = False
-    return np.concatenate([
-        _dissect(left[~sep], coords, rank, width, nbr, right),
-        _dissect(rest, coords, rank, width, nbr, right), left[sep]])
+    orbits: np.ndarray
+    pairs: int
+    scale: float
 
 
-def _nested_dissection(matrix: sp.csr_matrix, coords: np.ndarray,
-                       lead: np.ndarray, width: np.ndarray,
-                       root: np.ndarray) -> np.ndarray:
-    """Fill-reducing elimination order: ``order[i]`` is the unknown
-    eliminated i-th (geometric nested dissection; George, SIAM J. Numer.
-    Anal. 10, 1973).
-
-    Node j sits at ``coords[j]`` and carries the one or two unknowns from
-    ``lead[j]``; two nodes are neighbours when ``matrix`` couples their lead
-    unknowns.  The unknowns in ``root`` go last.  The other nodes are cut
-    recursively at the median of each part's wider coordinate axis (ties go
-    to x); a cut's separator is the left-side nodes with a neighbour on the
-    right.  Parts of at most _ND_LEAF unknowns are leaves and keep their
-    node order.
-    """
-    m = len(lead)
-    node_of = np.full(matrix.shape[0], -1, dtype=np.int64)
-    node_of[lead] = np.arange(m)
-    node_of[root] = -1
-    ei = np.repeat(node_of, np.diff(matrix.indptr))
-    ej = node_of[matrix.indices]
-    upper = (ej > ei) & (ei >= 0)
-    ei, ej = ei[upper], ej[upper]
-    # padded neighbour table: row j lists j's neighbours, then m
-    ei, ej = np.append(ei, ej), np.append(ej, ei)
-    by = np.argsort(ei)
-    ei, ej = ei[by], ej[by]
-    degree = np.bincount(ei, minlength=m)
-    nbr = np.full((m, degree.max() + 1), m, dtype=np.int64)
-    nbr[ei, np.arange(len(ei)) - (np.cumsum(degree) - degree)[ei]] = ej
-    # place along x and along y: the inverse of each axis's sort
-    rank = np.argsort(np.argsort(coords.T, axis=1, kind="stable"), axis=1)
-
-    nodes = _dissect(np.flatnonzero(node_of[lead] >= 0),
-                     np.ascontiguousarray(coords.T), rank, width, nbr,
-                     np.zeros(m + 1, dtype=bool))
-    # a disc node's (u_x, u_y) stay adjacent
-    unknowns = lead[nodes, None] + np.arange(2)
-    return np.append(unknowns[np.arange(2) < width[nodes, None]], root)
+def _sectors(meshes, dof_map: DofMap, scale: float) -> Sectors | None:
+    """The pair's sector table from the node orbits of the meshes' rotation
+    tables, or None (one sector) if a mesh has none or they disagree on S."""
+    orbits, radii = [], []
+    for mesh in meshes:
+        rot, tri = mesh.rotations, mesh.triangles
+        if rot is None:
+            return None
+        turn = np.empty(mesh.num_nodes, dtype=np.int64)
+        turn[tri[rot]] = tri[np.roll(rot, -1, axis=0)]
+        powers = [np.arange(mesh.num_nodes)]
+        for _ in rot[1:]:
+            powers.append(turn[powers[-1]])
+        powers = np.stack(powers)
+        lead = powers.min(axis=0) == powers[0]   # each orbit's lowest node
+        orbits.append(powers[:, lead])
+        radii.append(np.hypot(*mesh.nodes[lead].T))
+    disc, ring = orbits
+    if len(disc) != len(ring):
+        return None
+    disc = dof_map.displacement(disc[..., None], np.arange(2))
+    # slots by radius: SuperLU factors the thin wedge of a block faster so
+    by = np.argsort(np.append(np.repeat(radii[0], 2), radii[1]), kind="stable")
+    return Sectors(np.hstack([disc.reshape(len(disc), -1),
+                              dof_map.pressure(ring)])[:, by],
+                   2 * dof_map.n_solid_nodes, scale)
 
 
 @dataclass(frozen=True)
@@ -287,8 +266,8 @@ class SystemBlocks:
     used.  ``matrix0`` is A0 = [[A1, C4], [C3, A2]]; its pattern also holds
     the dense GAMMA_R pressure block, explicitly zero where A2 has no entry,
     and ``dtn_slots`` are the row-major positions of that block in its data.
-    ``ordering`` is the elimination order of every factorization of the
-    pair's systems (``_nested_dissection``, the GAMMA_R pressures last).
+    ``sectors`` is the sector table every factorization of the pair's
+    systems works in, or None for one sector.
     """
 
     disc_mesh: Mesh
@@ -299,7 +278,7 @@ class SystemBlocks:
     load: np.ndarray
     dof_map: DofMap
     trace_r: BoundaryTrace
-    ordering: np.ndarray
+    sectors: Sectors | None
 
 
 @dataclass(frozen=True)
@@ -310,7 +289,7 @@ class FemSystem:
     disc_mesh: Mesh
     annulus_mesh: Mesh
     config: PhysicalConfig
-    ordering: np.ndarray
+    sectors: Sectors | None
 
 
 def assemble_blocks(disc_mesh: Mesh, annulus_mesh: Mesh,
@@ -334,18 +313,12 @@ def assemble_blocks(disc_mesh: Mesh, annulus_mesh: Mesh,
     n = matrix0.shape[0]
     keys = np.repeat(np.arange(n), np.diff(matrix0.indptr)) * n \
         + matrix0.indices
-    # disc node i leads (u_x, u_y) = (2i, 2i+1), annulus node j its pressure
-    ns, nf = dof_map.n_solid_nodes, dof_map.n_fluid_nodes
-    lead = np.append(dof_map.displacement(np.arange(ns), 0),
-                     dof_map.pressure(np.arange(nf)))
-    ordering = _nested_dissection(
-        matrix0, np.vstack([disc_mesh.nodes, annulus_mesh.nodes]), lead,
-        np.repeat([2, 1], [ns, nf]), dofs)
     return SystemBlocks(disc_mesh=disc_mesh, annulus_mesh=annulus_mesh,
                         config=config, matrix0=matrix0,
                         dtn_slots=np.searchsorted(keys, rows * n + cols),
                         load=load, dof_map=dof_map, trace_r=trace_r,
-                        ordering=ordering)
+                        sectors=_sectors((disc_mesh, annulus_mesh), dof_map,
+                                         config.rho_f * config.omega ** 2))
 
 
 def assemble_system(blocks: SystemBlocks, N: int) -> FemSystem:
@@ -362,4 +335,4 @@ def assemble_system(blocks: SystemBlocks, N: int) -> FemSystem:
     return FemSystem(matrix=matrix, rhs=blocks.load.copy(),
                      dof_map=blocks.dof_map, disc_mesh=blocks.disc_mesh,
                      annulus_mesh=blocks.annulus_mesh, config=config,
-                     ordering=blocks.ordering)
+                     sectors=blocks.sectors)

@@ -1,23 +1,28 @@
 """Sparse solution and pointwise evaluation of the discrete fields.
 
-A single system is solved directly (``solve_linear``).  A truncation sweep
-solves every order N from one factorization of the N-independent matrix A0
-(``LowRankSweep``): with V = P U, the system A0 - V D V^T is solved by the
-Woodbury identity
+Every factorization works in sector-Fourier space (``_Factor``; README,
+"How the systems are factored").  A polar mesh pair is invariant under the
+turn by 2 pi / S, so in its sector table (``assembly.Sectors``) a system
+matrix A is block-circulant, and one FFT over the sectors splits it into S
+blocks A_m (Bossavit, Comput. Methods Appl. Mech. Engrg. 56, 1986), each
+sector 0's rows of A times the phases of F_m.  As D A is symmetric, block
+-m is D^-1 P A_m^T P D, P swapping v+ and v-: blocks 0..S//2 are factored
+and block -m is a transposed solve.  A matrix without a table is one
+sector.  ``solve_linear`` gates the residual against the full matrix.
+
+A truncation sweep solves every order N from one factorization of the
+N-independent matrix A0 (``LowRankSweep``): with V = P U, the system
+A0 - V D V^T is solved by the Woodbury identity
 
     x = y + W c,   y = A0^{-1} b,   (I - D S) c = D V^T y,
 
 with W = A0^{-1} V and S = V^T W.  The per-curve set-up factors A0 and
 forms y, W and S at the largest order; W is kept, so order N takes the
 leading 2N+1 columns of W and the leading (2N+1)^2 block of the capacitance
-matrix I - D S, and solves no system with A0.  A0 and V are real, so A0 is
-factored in real arithmetic and W is real.  Each order's capacitance solve
-runs once, and the sweep keeps c_N of every order whose x passed the
-residual gate, so a caller can work on x_N = y + W c_N in coefficient space
-(``harness._SweepErrors`` reduces each row's errors that way).
-
-Both factor in the nested-dissection order of the mesh pair
-(``SystemBlocks.ordering``).
+matrix I - D S, and solves no system with A0.  Mode n of V lives in blocks
+m = +-n (mod S) only, so W takes one block solve per column.  The sweep
+keeps c_N of every order whose x passed the residual gate, so a caller
+can work on x_N = y + W c_N in coefficient space (``harness._SweepErrors``).
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import dtn as dtn_ops
-from .assembly import FemSystem, SystemBlocks, _p1_geometry
+from .assembly import FemSystem, Sectors, SystemBlocks, _p1_geometry
 from .config import PhysicalConfig
 from .mesh import Mesh
 
@@ -39,7 +44,7 @@ __all__ = ["FieldSolution", "LowRankSweep", "SingularSystemError", "solve",
 
 RESIDUAL_TOL = 1e-10
 LOCATE_TOL = 1e-10   # smallest barycentric that still counts as inside
-_SWEEP_BLOCK = 8     # columns of V per A0 solve while forming W
+_V = np.sqrt(0.5) * np.array([[1, 1j], [1, -1j]])   # (u_x, u_y) -> v+-
 
 
 class SingularSystemError(RuntimeError):
@@ -52,31 +57,110 @@ def _relative_residual(matrix, x, rhs) -> float:
                  / max(np.linalg.norm(rhs), 1e-300))
 
 
-class _Factor:
-    """Sparse LU with SuperLU's partial pivoting of P A P^T, the unknowns
-    taken in the elimination ``ordering``.  ``solve`` takes and returns
-    vectors in the unpermuted numbering."""
+def _pairs(z: np.ndarray, p: int, m: np.ndarray) -> np.ndarray:
+    """z with each pair (z[2i], z[2i+1]), 2i < p, mapped by m, in place."""
+    a, b = z[0:p:2], z[1:p:2]
+    z[0:p:2], z[1:p:2] = m[0, 0] * a + m[0, 1] * b, m[1, 0] * a + m[1, 1] * b
+    return z
 
-    def __init__(self, matrix: sp.spmatrix, ordering: np.ndarray):
-        self._ordering = ordering
-        self._lu = spla.splu(matrix.tocsr()[ordering][:, ordering].tocsc(),
-                             permc_spec="NATURAL")
+
+class _Factor:
+    """LU of a matrix in sector-Fourier space (module docstring); a SuperLU
+    failure in any block raises its RuntimeError."""
+
+    def __init__(self, matrix: sp.spmatrix, sectors: Sectors | None):
+        n = matrix.shape[0]
+        sec = self._sec = sectors or Sectors(np.arange(n)[None], 0, 1.0)
+        S, Q = sec.orbits.shape
+        paired = sec.orbits[0] < sec.pairs
+        self._fixed = np.all(sec.orbits == sec.orbits[0], axis=0)
+        self._shift = np.where(paired, 1 - 2 * (sec.orbits[0] & 1), 0)
+        # D, over S at the centre, which F copies into S rows by 1/sqrt(S)
+        self._scale = (np.where(paired, sec.scale, 1.0)
+                       / np.where(self._fixed, S, 1))[:, None]
+        self._slot, self._sector = np.empty(n, np.int64), np.empty(n, np.int64)
+        self._slot[sec.orbits], self._sector[sec.orbits] = np.arange(Q), \
+            np.arange(S)[:, None]
+        self._swap = self._slot[sec.orbits[0] ^ paired]
+        self._m, self._q = np.arange(S)[:, None], np.arange(Q)
+        self._lu = [spla.splu(block, permc_spec="MMD_AT_PLUS_A")
+                    for block in self._blocks(matrix, range(S // 2 + 1))]
+
+    def _blocks(self, matrix: sp.spmatrix, ms):
+        """Blocks A_m, m in ``ms``, as CSC matrices, from sector 0's rows."""
+        (S, Q), p, n = self._sec.orbits.shape, self._sec.pairs, len(self._slot)
+        t_h = sp.block_diag([sp.kron(sp.identity(p // 2), _V),
+                             sp.identity(n - p)], format="csr")
+        rows = (t_h[self._sec.orbits[0]] @ matrix @ t_h.conj().T).tocoo()
+        r, q, j = rows.row, self._slot[rows.col], self._sector[rows.col]
+        turns = np.exp(2j * np.pi * np.arange(S) / S)
+        for m in ms:
+            on = ~self._fixed | ((m + self._shift) % S == 0)
+            keep, off = on[r] & on[q], np.flatnonzero(~on)
+            phase = turns[(m + self._shift[q[keep]]) * j[keep] % S]
+            yield sp.csc_matrix((
+                np.append(rows.data[keep] * phase, np.ones(len(off))),
+                (np.append(r[keep], off), np.append(q[keep], off))),
+                shape=(Q, Q))
+
+    def _solve_block(self, m: int, b: np.ndarray) -> np.ndarray:
+        S = len(self._m)
+        if m <= S // 2:
+            return self._lu[m].solve(b)
+        d, swap = self._scale, self._swap
+        return self._lu[S - m].solve((d * b)[swap], trans="T")[swap] / d
+
+    def _forward(self, b: np.ndarray) -> np.ndarray:
+        """(n, k) unknowns -> (S, Q, k), row m block m's load."""
+        z = _pairs(b.astype(complex), self._sec.pairs, _V)
+        f = np.fft.fft(z[self._sec.orbits], axis=0, norm="ortho")
+        return f[(self._m + self._shift) % len(f), self._q]
+
+    def _backward(self, x: np.ndarray) -> np.ndarray:
+        """The inverse of ``_forward``."""
+        z = np.empty((len(self._slot), x.shape[2]), complex)
+        z[self._sec.orbits] = np.fft.ifft(
+            x[(self._m - self._shift) % len(x), self._q], axis=0, norm="ortho")
+        return _pairs(z, self._sec.pairs, _V.conj().T)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        x = np.empty_like(rhs)
-        x[self._ordering] = self._lu.solve(rhs[self._ordering])
-        return x
+        """A^-1 rhs, complex, for rhs of shape (n,) or (n, k)."""
+        b = self._forward(rhs.reshape(len(rhs), -1))
+        for m in range(len(b)):
+            b[m] = self._solve_block(m, b[m])
+        return self._backward(b).reshape(rhs.shape)
+
+    def solve_modes(self, rows, columns, modes, out):
+        """out = A^-1 V for a real A and the real V that is ``columns`` on
+        the pressures ``rows`` and 0 elsewhere, column c the angular mode
+        ``modes[c]``: it lives in blocks m = +-modes[c] (mod S) only, and
+        block -m is P conj(block m)."""
+        S = len(self._m)
+        slots, at = np.unique(self._slot[rows], return_inverse=True)
+        v = np.zeros((S, len(slots), columns.shape[1]))
+        v[self._sector[rows], at] = columns
+        v = np.fft.fft(v, axis=0, norm="ortho")
+        for m in range(S // 2 + 1):
+            cols = np.flatnonzero(((modes - m) % S == 0)
+                                  | ((modes + m) % S == 0))
+            if len(cols):
+                x = np.zeros((S, len(self._q), len(cols)), complex)
+                x[m, slots] = v[m][:, cols]
+                x[m] = self._lu[m].solve(x[m])
+                if m != -m % S:
+                    x[-m % S] = x[m].conj()[self._swap]
+                out[:, cols] = self._backward(x).real
 
 
-def solve_linear(matrix: sp.spmatrix, rhs: np.ndarray, ordering: np.ndarray):
-    """Sparse LU with partial pivoting in the elimination ``ordering``
-    (``FemSystem.ordering``) plus a hard post-solve residual check; returns
-    (x, relative residual)."""
+def solve_linear(matrix: sp.spmatrix, rhs: np.ndarray,
+                 sectors: Sectors | None = None):
+    """Sparse LU with partial pivoting in sector-Fourier space through
+    ``sectors`` (``FemSystem.sectors``; None for one sector) plus a hard
+    post-solve residual check; returns (x, relative residual)."""
     if matrix.shape[0] != matrix.shape[1] or matrix.shape[0] != rhs.shape[0]:
         raise ValueError("system matrix and right-hand side sizes disagree")
     try:
-        lu = _Factor(matrix.astype(complex), ordering)
-        x = lu.solve(rhs.astype(complex))
+        x = _Factor(matrix, sectors).solve(rhs)
     except RuntimeError as exc:  # SuperLU signals exact singularity this way
         raise SingularSystemError(str(exc)) from exc
     if not np.all(np.isfinite(x)):
@@ -91,8 +175,8 @@ def solve_linear(matrix: sp.spmatrix, rhs: np.ndarray, ordering: np.ndarray):
 
 class LowRankSweep:
     """Every truncation order N <= ``order`` of one SystemBlocks from a single
-    real LU of A0, each order by the Woodbury identity (module docstring) for
-    the load of the blocks.
+    LU of the real A0, each order by the Woodbury identity (module
+    docstring) for the load of the blocks.
 
     A0 has a natural (Neumann) condition at R, so it can be singular at
     isolated k while every A0 - P B P^T is not: when SuperLU cannot factor
@@ -113,24 +197,19 @@ class LowRankSweep:
         a0 = blocks.matrix0.real.copy()
         a0.eliminate_zeros()
         try:
-            self._lu = _Factor(a0, blocks.ordering)
+            self._lu = _Factor(a0, blocks.sectors)
         except RuntimeError:     # A0 exactly singular: every order goes direct
             self._lu = None
             return
-        # W = A0^{-1} V, a few columns at a time, in Fortran order so that an
-        # order's leading columns are one contiguous block
-        n, r = a0.shape[0], self._columns.shape[1]
-        self.w = np.empty((n, r), order="F")
-        for j in range(0, r, _SWEEP_BLOCK):
-            cols = self._columns[:, j:j + _SWEEP_BLOCK]
-            v = np.zeros((n, cols.shape[1]))
-            v[self._dofs] = cols
-            self.w[:, j:j + _SWEEP_BLOCK] = self._lu.solve(v)
+        # W = A0^{-1} V in Fortran order, so that an order's leading columns
+        # are one contiguous block; column 2n-1 and 2n are mode n
+        r = self._columns.shape[1]
+        self.w = np.empty((a0.shape[0], r), order="F")
+        self._lu.solve_modes(self._dofs, self._columns,
+                             (np.arange(r) + 1) // 2, self.w)
         self._s = self._columns.T @ self.w[self._dofs]
         # y = A0^{-1} b: assemble_system hands every order a copy of this load
-        y = self._lu.solve(np.column_stack([blocks.load.real,
-                                            blocks.load.imag]))
-        self._y = y[:, 0] + 1j * y[:, 1]
+        self._y = self._lu.solve(blocks.load)
 
     def coefficients(self, N: int):
         """c_N of order N, or None when the capacitance matrix is exactly
@@ -165,7 +244,7 @@ class LowRankSweep:
                 if residual <= RESIDUAL_TOL:
                     self.kept[N] = c
                     return x, residual
-        return solve_linear(system.matrix, system.rhs, system.ordering)
+        return solve_linear(system.matrix, system.rhs, system.sectors)
 
 
 @dataclass(frozen=True)
@@ -197,7 +276,7 @@ def solve(system: FemSystem, sweep: LowRankSweep | None = None
           ) -> FieldSolution:
     """Direct solve, or through ``sweep`` when several truncation orders
     share one SystemBlocks."""
-    x, residual = (solve_linear(system.matrix, system.rhs, system.ordering)
+    x, residual = (solve_linear(system.matrix, system.rhs, system.sectors)
                    if sweep is None else sweep.solve(system))
     ns = system.dof_map.n_solid_nodes
     return FieldSolution(

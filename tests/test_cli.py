@@ -351,6 +351,24 @@ def test_subnormal_radius_is_refused_like_any_oversized_mesh(tmp_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags", [["--rho-f", "1e300", "--omega", "1e5"],
+                                   ["--rho-f", "1e-300", "--omega", "1e-5"]])
+def test_fluid_scale_out_of_range_is_a_configuration_error(flags, tmp_path,
+                                                           capsys):
+    """rho_f omega^2 that overflows to inf or underflows below the smallest
+    normal float is refused with exit 1, before any RuntimeWarning."""
+    out = tmp_path / "out.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run(["solve", "--level", "1", *flags, "--output", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "configuration error: rho_f omega^2" in err
+    assert "RuntimeWarning" not in err and "Traceback" not in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["solve", "--level", "0", "--omega=7.5e-87"],
     ["convergence", "--levels=1", "--order=4", "--k=1e-150"]])

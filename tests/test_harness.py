@@ -381,9 +381,9 @@ def test_a_row_solved_directly_takes_the_reference_bitwise(monkeypatch):
             raise np.linalg.LinAlgError("Singular matrix")
         return dense_solve(a, b)
 
-    def counting(matrix, rhs, ordering):
+    def counting(matrix, rhs, sectors):
         direct.append(matrix.shape)
-        return solve_linear(matrix, rhs, ordering)
+        return solve_linear(matrix, rhs, sectors)
 
     monkeypatch.setattr(np.linalg, "solve", singular_at_order_3)
     monkeypatch.setattr(solve_module, "solve_linear", counting)

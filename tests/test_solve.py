@@ -36,7 +36,7 @@ def test_identity_system():
     eye = sp.identity(10, format="csr", dtype=complex)
     rhs = np.zeros(10, dtype=complex)
     rhs[0] = 1.0
-    x, residual = solve_linear(eye, rhs, np.arange(10))
+    x, residual = solve_linear(eye, rhs)
     assert np.array_equal(x, rhs)
     assert residual == 0.0
 
@@ -47,7 +47,7 @@ def test_residual_on_reference_configuration(solution16):
 
 def test_solve_keeps_the_solver_residual(system16, solution16):
     x, residual = solve_linear(system16.matrix, system16.rhs,
-                               system16.ordering)
+                               system16.sectors)
     recomputed = (np.linalg.norm(system16.matrix @ x - system16.rhs)
                   / np.linalg.norm(system16.rhs))
     assert residual == pytest.approx(recomputed, rel=1e-12)
@@ -63,19 +63,19 @@ def test_solution_shapes_and_finiteness(system16, solution16):
 
 
 def test_permutation_equivariance(system16):
-    x, _ = solve_linear(system16.matrix, system16.rhs, system16.ordering)
+    x, _ = solve_linear(system16.matrix, system16.rhs, system16.sectors)
     rng = np.random.default_rng(3)
     perm = rng.permutation(system16.matrix.shape[0])
     P = sp.coo_matrix((np.ones(len(perm)), (np.arange(len(perm)), perm))).tocsr()
-    # the permuted system in its own numbering: a different elimination order
-    xp, _ = solve_linear((P @ system16.matrix @ P.T).tocsr(), P @ system16.rhs,
-                         np.arange(len(perm)))
+    # the permuted system in its own numbering, as one sector
+    xp, _ = solve_linear((P @ system16.matrix @ P.T).tocsr(),
+                         P @ system16.rhs)
     assert np.max(np.abs(P.T @ xp - x)) < 1e-12 * max(1.0, np.max(np.abs(x)))
 
 
 def test_deterministic_bitwise(system16):
-    a, _ = solve_linear(system16.matrix, system16.rhs, system16.ordering)
-    b, _ = solve_linear(system16.matrix, system16.rhs, system16.ordering)
+    a, _ = solve_linear(system16.matrix, system16.rhs, system16.sectors)
+    b, _ = solve_linear(system16.matrix, system16.rhs, system16.sectors)
     assert np.array_equal(a, b)
 
 
@@ -84,13 +84,13 @@ def test_singular_system_raises():
     matrix = sp.csr_matrix((n, n), dtype=complex)
     rhs = np.ones(n, dtype=complex)
     with pytest.raises(SingularSystemError):
-        solve_linear(matrix, rhs, np.arange(n))
+        solve_linear(matrix, rhs)
 
 
 def test_size_mismatch_rejected():
     eye = sp.identity(4, format="csr", dtype=complex)
     with pytest.raises(ValueError):
-        solve_linear(eye, np.ones(5, dtype=complex), np.arange(4))
+        solve_linear(eye, np.ones(5, dtype=complex))
 
 
 # ------------------------------------------------------------- evaluation
@@ -277,31 +277,44 @@ def test_locator_refuses_points_off_the_mesh(mesh_pairs, level):
                 evaluate_field(sol, point, which)
 
 
-# ------------------------------------------------- nested-dissection order
+# ------------------------------------------------- sector-Fourier factor
 
-def _level_system(mesh_pairs, level):
-    disc, ann = (mesh_pairs[level] if level in mesh_pairs
-                 else harness.build_mesh_pair(R0, R, N_ANGULAR, level))
+def _level_system(mesh_pairs, level, n_angular=N_ANGULAR, k=1.0):
+    disc, ann = (mesh_pairs[level]
+                 if level in mesh_pairs and n_angular == N_ANGULAR
+                 else harness.build_mesh_pair(R0, R, n_angular, level))
     return assembly.assemble_system(
-        assembly.assemble_blocks(disc, ann, PhysicalConfig()), 20)
+        assembly.assemble_blocks(disc, ann, PhysicalConfig(k=k)), 20)
 
 
 @pytest.mark.parametrize("level", [0, 1, 2, 3])
-def test_ordering_is_a_permutation_with_the_outer_pressures_last(
-        mesh_pairs, level):
+def test_sector_table_is_a_permutation_of_the_unknowns(mesh_pairs, level):
+    """Every unknown sits in one slot of one sector, or is the disc centre's
+    fixed pair; column q of the table is one node turned by 2 pi j / S."""
     system = _level_system(mesh_pairs, level)
+    sec, dof_map = system.sectors, system.dof_map
+    S = len(sec.orbits)
+    assert S == N_ANGULAR and sec.pairs == 2 * dof_map.n_solid_nodes
+    assert sec.scale == system.config.rho_f * system.config.omega ** 2
     n = system.matrix.shape[0]
-    outer = system.dof_map.pressure(
-        M.boundary_trace(system.annulus_mesh, M.GAMMA_R).node_indices)
-    assert np.array_equal(np.sort(system.ordering), np.arange(n))
-    assert np.array_equal(system.ordering[n - len(outer):], outer)
+    fixed = np.all(sec.orbits == sec.orbits[0], axis=0)
+    assert np.array_equal(sec.orbits[0, fixed], [0, 1])   # the centre
+    assert np.array_equal(np.sort(np.append(sec.orbits[:, ~fixed],
+                                            sec.orbits[0, fixed])),
+                          np.arange(n))
+    nodes = np.vstack([np.repeat(system.disc_mesh.nodes, 2, axis=0),
+                       system.annulus_mesh.nodes])
+    angle = 2 * np.pi * np.arange(S) / S
+    turn = np.array([[np.cos(angle), -np.sin(angle)],
+                     [np.sin(angle), np.cos(angle)]])      # (2, 2, S)
+    want = np.einsum("abj,qb->jqa", turn, nodes[sec.orbits[0]])
+    assert np.max(np.abs(nodes[sec.orbits] - want)) <= 1e-14 * R
 
 
 @pytest.mark.parametrize("level", [1, 2, 3, 4])
 def test_ordered_solve_matches_the_colamd_solve(mesh_pairs, level):
-    """``solve`` (nested dissection) against SuperLU in its own COLAMD
-    column order, the order the nested dissection replaced: 1e-12 relative
-    in the 2-norm."""
+    """``solve`` (sector-Fourier factor) against SuperLU in its own COLAMD
+    column order on the whole matrix: 1e-12 relative in the 2-norm."""
     system = _level_system(mesh_pairs, level)
     sol = solve(system)
     x = np.concatenate([sol.u_nodal.ravel(), sol.p_nodal])
@@ -310,13 +323,62 @@ def test_ordered_solve_matches_the_colamd_solve(mesh_pairs, level):
     assert np.linalg.norm(x - reference) <= 1e-12 * np.linalg.norm(reference)
 
 
+@pytest.mark.parametrize("n_angular", [8, 10, 16, 24, 32])
+def test_sector_solve_matches_the_colamd_solve(n_angular):
+    """The same bound over sector counts, an odd S/2 (10) and the disc
+    centre's blocks at level 0 included, at k = 1 and 4, levels 0-2."""
+    for k in (1.0, 4.0):
+        for level in range(3):
+            system = _level_system({}, level, n_angular, k)
+            assert len(system.sectors.orbits) == n_angular
+            x, residual = solve_linear(system.matrix, system.rhs,
+                                       system.sectors)
+            reference = spla.splu(system.matrix.tocsc()).solve(system.rhs)
+            assert residual <= 1e-10
+            assert np.linalg.norm(x - reference) \
+                <= 1e-12 * np.linalg.norm(reference), (k, level)
+
+
+@pytest.mark.parametrize("n_angular", [10, 16])
+def test_transposed_block_matches_its_own_factor(mesh_pairs, n_angular):
+    """Block -m solved through block m's transposed factor equals a direct
+    factor of block -m, 1e-12 relative, for every m of both halves."""
+    system = _level_system(mesh_pairs, 1, n_angular)
+    lu = solve_module._Factor(system.matrix, system.sectors)
+    S = len(system.sectors.orbits)
+    rng = np.random.default_rng(n_angular)
+    for m in range(S // 2 + 1, S):
+        block, = lu._blocks(system.matrix, [m])
+        b = rng.normal(size=(block.shape[0], 2)) \
+            + 1j * rng.normal(size=(block.shape[0], 2))
+        want = spla.splu(block).solve(b)
+        got = lu._solve_block(m, b)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), m
+
+
+@pytest.mark.parametrize("level", [0, 2])
+def test_a_pair_without_rotation_tables_is_one_sector(mesh_pairs, level):
+    """``replace(mesh, rotations=None)`` runs as one sector, the whole
+    matrix in one block, and gives the same x within 1e-12."""
+    disc, ann = mesh_pairs[level]
+    blocks = assembly.assemble_blocks(
+        dataclasses.replace(disc, rotations=None), ann, PhysicalConfig())
+    assert blocks.sectors is None
+    system = assembly.assemble_system(blocks, 20)
+    plain, _ = solve_linear(system.matrix, system.rhs, system.sectors)
+    x, _ = solve_linear(system.matrix, system.rhs, _level_system(
+        mesh_pairs, level).sectors)
+    assert np.linalg.norm(x - plain) <= 1e-12 * np.linalg.norm(plain)
+
+
 def test_ordering_cuts_fill_below_colamd(mesh_pairs):
+    """The fill of the factor in use, all its blocks, stays below COLAMD's
+    of the whole matrix at level 3."""
     system = _level_system(mesh_pairs, 3)
-    matrix, order = system.matrix.tocsr().astype(complex), system.ordering
-    colamd = spla.splu(matrix.tocsc())
-    nested = spla.splu(matrix[order][:, order].tocsc(),
-                            permc_spec="NATURAL")
-    assert nested.L.nnz + nested.U.nnz < colamd.L.nnz + colamd.U.nnz
+    lu = solve_module._Factor(system.matrix, system.sectors)
+    colamd = spla.splu(system.matrix.tocsc())
+    assert sum(b.L.nnz + b.U.nnz for b in lu._lu) \
+        < colamd.L.nnz + colamd.U.nnz
 
 
 def test_ordered_solves_are_bitwise_equal(system16):
@@ -328,141 +390,18 @@ def test_ordered_solves_are_bitwise_equal(system16):
 
 def test_singular_system_with_an_ordering_raises(system16):
     # the outer-circle pressure rows zeroed: exactly singular
-    outer = system16.ordering[-len(M.boundary_trace(
-        system16.annulus_mesh, M.GAMMA_R)):]
+    outer = system16.dof_map.pressure(
+        M.boundary_trace(system16.annulus_mesh, M.GAMMA_R).node_indices)
     keep = np.ones(system16.matrix.shape[0])
     keep[outer] = 0.0
     matrix = (sp.diags(keep) @ system16.matrix).tocsr()
     with pytest.raises(SingularSystemError):
-        solve_linear(matrix, system16.rhs, system16.ordering)
-
-
-def _segment_offsets(part: np.ndarray, width: np.ndarray, n_parts: int):
-    """Unknowns before each entry within its part (entries grouped by part),
-    and the unknowns of every part."""
-    totals = np.bincount(part, weights=width, minlength=n_parts).astype(np.int64)
-    before = np.cumsum(width) - width
-    return before - (np.cumsum(totals) - totals)[part], totals
-
-
-def _nested_dissection_reference(matrix, coords, lead, width, root):
-    """``assembly._nested_dissection`` as first written, level-synchronous:
-    every part of one depth is cut at once, with one sort per depth, and the
-    tree is laid out in postorder (left, right, separator) so a part's
-    positions in ``order`` are fixed when it is cut."""
-    n, m = matrix.shape[0], len(lead)
-    order = np.empty(n, dtype=np.int64)
-    order[n - len(root):] = root
-    node_of = np.full(n, -1, dtype=np.int64)
-    node_of[lead] = np.arange(m)
-    node_of[root] = -1
-    ei = np.repeat(node_of, np.diff(matrix.indptr))
-    ej = node_of[matrix.indices]
-    upper = (ej > ei) & (ei >= 0)
-    ei, ej = ei[upper], ej[upper]
-    rank = np.empty((2, m), dtype=np.int64)   # place along x and along y
-    for axis in range(2):
-        rank[axis, np.argsort(coords[:, axis], kind="stable")] = np.arange(m)
-
-    def place(slots, nodes):
-        order[slots] = lead[nodes]
-        pair = width[nodes] == 2
-        order[slots[pair] + 1] = lead[nodes[pair]] + 1
-
-    # the nodes still to place, grouped by part, and each part's first slot
-    nodes = np.flatnonzero(node_of[lead] >= 0)
-    part = np.zeros(len(nodes), dtype=np.int64)
-    first = np.zeros(1, dtype=np.int64)
-    while len(nodes):
-        counts = np.bincount(part)
-        local, size = _segment_offsets(part, width[nodes], len(counts))
-        leaf = size[part] <= assembly._ND_LEAF
-        place(first[part[leaf]] + local[leaf], nodes[leaf])
-        cut = size > assembly._ND_LEAF
-        if not cut.any():
-            break
-        nodes, part = nodes[~leaf], (np.cumsum(cut) - 1)[part[~leaf]]
-        counts, first = counts[cut], first[cut]
-        starts = np.cumsum(counts) - counts
-
-        # sort each part along its wider axis and cut it at the median node
-        xy = coords[nodes]
-        span = np.maximum.reduceat(xy, starts) - np.minimum.reduceat(xy, starts)
-        wide = (span[:, 1] > span[:, 0]).astype(np.int64)
-        nodes = nodes[np.argsort(part * m + rank[wide[part], nodes])]
-        right = np.arange(len(nodes)) - starts[part] >= counts[part] // 2
-        side = np.full(m, -1, dtype=np.int64)   # 2 part + right, -1 if placed
-        side[nodes] = 2 * part + right
-
-        # separator: the left ends of the edges that cross a cut
-        si, sj = side[ei], side[ej]
-        same = (si >= 0) & (si >> 1 == sj >> 1)
-        crossing = same & (si != sj)
-        is_sep = np.zeros(m, dtype=bool)
-        is_sep[np.where(si & 1, ej, ei)[crossing]] = True
-        keep = same & ~crossing
-        ei, ej = ei[keep], ej[keep]
-
-        # left child, right child, then the separator, inside each part
-        sep = is_sep[nodes]
-        child = side[nodes]
-        sizes = np.bincount(child[~sep], weights=width[nodes[~sep]],
-                            minlength=2 * len(counts)).astype(np.int64)
-        child_first = np.repeat(first, 2)
-        child_first[1::2] += sizes[0::2]
-        sep_part = part[sep]
-        sep_local, _ = _segment_offsets(sep_part, width[nodes[sep]],
-                                        len(counts))
-        place(child_first[2 * sep_part + 1] + sizes[2 * sep_part + 1]
-              + sep_local, nodes[sep])
-
-        kept = sizes > 0
-        nodes, part = nodes[~sep], (np.cumsum(kept) - 1)[child[~sep]]
-        first = child_first[kept]
-    return order
-
-
-def _reference_ordering(disc, ann, blocks):
-    """The reference order from the inputs ``assemble_blocks`` passes."""
-    dof_map = blocks.dof_map
-    ns, nf = dof_map.n_solid_nodes, dof_map.n_fluid_nodes
-    lead = np.append(dof_map.displacement(np.arange(ns), 0),
-                     dof_map.pressure(np.arange(nf)))
-    return _nested_dissection_reference(
-        blocks.matrix0, np.vstack([disc.nodes, ann.nodes]), lead,
-        np.repeat([2, 1], [ns, nf]),
-        dof_map.pressure(blocks.trace_r.node_indices))
-
-
-@pytest.mark.parametrize("n_angular", [8, 10, 16, 24, 32])
-def test_ordering_matches_the_level_synchronous_reference(n_angular):
-    """The recursive order is bitwise the level-synchronous one it replaced,
-    over radii from thin to wide bands and levels 0-3 (0-2 from 24 sectors);
-    a pair whose refinement is refused is skipped."""
-    for R0, R in ((1.0, 1.5), (1.0, 2.0), (0.5, 3.0), (2.0, 2.6)):
-        for level in range(4 if n_angular < 24 else 3):
-            try:
-                disc, ann = harness.build_mesh_pair(R0, R, n_angular, level)
-            except ValueError as exc:
-                assert "inverts a triangle" in str(exc)
-                continue
-            blocks = assembly.assemble_blocks(disc, ann,
-                                              PhysicalConfig(R0=R0, R=R))
-            assert np.array_equal(blocks.ordering,
-                                  _reference_ordering(disc, ann, blocks)), \
-                (R0, R, level)
-
-
-def test_ordering_matches_the_reference_at_level_four():
-    disc, ann = harness.build_mesh_pair(R0, R, N_ANGULAR, 4)
-    blocks = assembly.assemble_blocks(disc, ann, PhysicalConfig())
-    assert np.array_equal(blocks.ordering,
-                          _reference_ordering(disc, ann, blocks))
+        solve_linear(matrix, system16.rhs, system16.sectors)
 
 
 def test_assemble_blocks_leaves_no_reference_cycles(mesh_pairs):
-    """Building the blocks, the order included, leaves no garbage for the
-    cyclic collector: its work arrays are freed when it returns."""
+    """Building the blocks, the sector table included, leaves no garbage for
+    the cyclic collector: its work arrays are freed when it returns."""
     disc, ann = mesh_pairs[2]
     gc.collect()
     gc.disable()
@@ -475,7 +414,7 @@ def test_assemble_blocks_leaves_no_reference_cycles(mesh_pairs):
 
 # ------------------------------------------------------------- low-rank sweep
 
-def _no_direct_solve(matrix, rhs, ordering):
+def _no_direct_solve(matrix, rhs, sectors=None):
     raise AssertionError("the low-rank sweep fell back to the direct solve")
 
 
@@ -496,12 +435,45 @@ def test_sweep_matches_the_direct_solve(mesh_pairs, monkeypatch, level, k):
         with monkeypatch.context() as patch:
             patch.setattr(solve_module, "solve_linear", _no_direct_solve)
             x, residual = sweep.solve(system)
-        direct, _ = solve_linear(system.matrix, system.rhs, system.ordering)
+        direct, _ = solve_linear(system.matrix, system.rhs, system.sectors)
         assert residual <= 1e-10
         assert np.linalg.norm(x - direct) <= 1e-12 * np.linalg.norm(direct)
         errs = quad.errors(x[:2 * ns].reshape(ns, 2), x[2 * ns:])
         want = quad.errors(direct[:2 * ns].reshape(ns, 2), direct[2 * ns:])
         assert errs == pytest.approx(want, rel=1e-10, abs=0)
+
+
+@pytest.mark.parametrize("k", [1.0, 2.0, 4.0])
+@pytest.mark.parametrize("level", [1, 2])
+def test_sweep_matches_its_one_sector_path(mesh_pairs, monkeypatch, level,
+                                          k):
+    """W and y of the sector factor match the one-sector path within 1e-12
+    relative, and W the real part of a full solve of V; each column of W is
+    solved only in the blocks its mode lives in, and the imaginary part
+    the sweep drops from W is at most 1e-14 of max |W|."""
+    disc, ann = mesh_pairs[level]
+    dropped, backward = [], solve_module._Factor._backward
+    monkeypatch.setattr(solve_module._Factor, "_backward",
+                        lambda lu, x: dropped.append(backward(lu, x).imag)
+                        or backward(lu, x))
+    sweep = LowRankSweep(assembly.assemble_blocks(disc, ann,
+                                                  PhysicalConfig(k=k)), 20)
+    monkeypatch.undo()
+    plain = LowRankSweep(assembly.assemble_blocks(
+        dataclasses.replace(disc, rotations=None), ann,
+        PhysicalConfig(k=k)), 20)
+    assert len(plain._lu._lu) == 1
+    for got, want in ((sweep.w, plain.w), (sweep._y, plain._y)):
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+    scale = np.max(np.abs(sweep.w))
+    # one back transform per block pair, then the one of y
+    assert len(dropped) == N_ANGULAR // 2 + 2
+    assert max(np.max(np.abs(d)) for d in dropped[:-1]) <= 1e-14 * scale
+    v = np.zeros(sweep.w.shape)
+    v[sweep._dofs] = sweep._columns
+    full = sweep._lu.solve(v)
+    assert np.linalg.norm(full.real - sweep.w) \
+        <= 1e-12 * np.linalg.norm(sweep.w)
 
 
 @pytest.mark.parametrize("k", [1.0, 2.0])
@@ -537,8 +509,8 @@ class _WrongFactor:
     def __init__(self, lu):
         self._lu = lu
 
-    def solve(self, rhs):
-        return 1.5 * self._lu.solve(rhs)
+    def solve(self, rhs, trans="N"):
+        return 1.5 * self._lu.solve(rhs, trans=trans)
 
 
 @pytest.mark.parametrize("failure", ["singular", "wrong"])
@@ -550,16 +522,21 @@ def test_sweep_falls_back_to_the_direct_solve(monkeypatch, failure):
         patch.setattr(harness, "LowRankSweep", lambda blocks, order: None)
         direct = harness.truncation_study(cfg)
 
-    splu, factored = solve_module.spla.splu, []
+    splu, factor_init, factored = (solve_module.spla.splu,
+                                   solve_module._Factor.__init__, [])
+
+    def counting(lu, matrix, *args):
+        factored.append(matrix.shape)
+        factor_init(lu, matrix, *args)
 
     def a0_fails(matrix, *args, **kwargs):
-        factored.append(matrix.shape)
         if len(factored) > 1:
             return splu(matrix, *args, **kwargs)
         if failure == "singular":   # the curve's A0 is factored first
             raise RuntimeError("Factor is exactly singular")
         return _WrongFactor(splu(matrix, *args, **kwargs))
 
+    monkeypatch.setattr(solve_module._Factor, "__init__", counting)
     monkeypatch.setattr(solve_module.spla, "splu", a0_fails)
     swept = harness.truncation_study(cfg)
     assert len(factored) == 1 + len(cfg.n_values)   # A0, then each order
