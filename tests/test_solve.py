@@ -358,17 +358,23 @@ def test_transposed_block_matches_its_own_factor(mesh_pairs, n_angular):
 
 @pytest.mark.parametrize("level", [0, 2])
 def test_a_pair_without_rotation_tables_is_one_sector(mesh_pairs, level):
-    """``replace(mesh, rotations=None)`` runs as one sector, the whole
-    matrix in one block, and gives the same x within 1e-12."""
+    """A pair with a mesh without a rotation table (``replace(mesh,
+    rotations=None)``), or with tables that disagree on S, runs as one
+    sector, the whole matrix in one block, and gives the same x within
+    1e-12."""
     disc, ann = mesh_pairs[level]
-    blocks = assembly.assemble_blocks(
-        dataclasses.replace(disc, rotations=None), ann, PhysicalConfig())
-    assert blocks.sectors is None
-    system = assembly.assemble_system(blocks, 20)
-    plain, _ = solve_linear(system.matrix, system.rhs, system.sectors)
-    x, _ = solve_linear(system.matrix, system.rhs, _level_system(
-        mesh_pairs, level).sectors)
-    assert np.linalg.norm(x - plain) <= 1e-12 * np.linalg.norm(plain)
+    want, _ = solve_linear(*_parts(_level_system(mesh_pairs, level)))
+    halved = disc.rotations.reshape(N_ANGULAR // 2, -1)   # S = 8 for the disc
+    for table in (None, halved):
+        blocks = assembly.assemble_blocks(
+            dataclasses.replace(disc, rotations=table), ann, PhysicalConfig())
+        assert blocks.sectors is None
+        x, _ = solve_linear(*_parts(assembly.assemble_system(blocks, 20)))
+        assert np.linalg.norm(x - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def _parts(system):
+    return system.matrix, system.rhs, system.sectors
 
 
 def test_ordering_cuts_fill_below_colamd(mesh_pairs):
