@@ -11,7 +11,8 @@ A2: Helmholtz form (stiffness - k^2 mass) on the annulus; C3/C4: interface
 couplings through the outward normal of the solid; B: the truncated
 absorbing-boundary matrix subtracted into the pressure-pressure block.  The
 N-independent matrix A0 = [[A1, C4], [C3, A2]] is assembled once; each order
-N subtracts its B = U diag(d) U^T at fixed slots of A0's pattern.  Every
+N subtracts its B = U diag(d) U^T at fixed slots of A0's pattern, B taken
+from the one DtN series (``dtn.DtnSeries``) of the blocks.  Every
 system of a polar mesh pair is factored in sector-Fourier space (``solve``
 module) through the pair's sector table (``Sectors``).
 Volume element integrals are exact for P1; boundary loads use 4-point Gauss
@@ -267,7 +268,10 @@ class SystemBlocks:
     the dense GAMMA_R pressure block, explicitly zero where A2 has no entry,
     and ``dtn_slots`` are the row-major positions of that block in its data.
     ``sectors`` is the sector table every factorization of the pair's
-    systems works in, or None for one sector.
+    systems works in, or None for one sector.  ``dtn`` is the DtN series
+    of ``trace_r``, k and R that every order of the pair takes its B_N and
+    its factor from (``assemble_system``, ``solve.LowRankSweep``); it keeps
+    the last B_N, so a curve of ascending orders adds one mode per order.
     """
 
     disc_mesh: Mesh
@@ -279,6 +283,7 @@ class SystemBlocks:
     dof_map: DofMap
     trace_r: BoundaryTrace
     sectors: Sectors | None
+    dtn: dtn_ops.DtnSeries
 
 
 @dataclass(frozen=True)
@@ -318,19 +323,21 @@ def assemble_blocks(disc_mesh: Mesh, annulus_mesh: Mesh,
                         dtn_slots=np.searchsorted(keys, rows * n + cols),
                         load=load, dof_map=dof_map, trace_r=trace_r,
                         sectors=_sectors((disc_mesh, annulus_mesh), dof_map,
-                                         config.rho_f * config.omega ** 2))
+                                         config.rho_f * config.omega ** 2),
+                        dtn=dtn_ops.DtnSeries(trace_r, config.k, config.R))
 
 
 def assemble_system(blocks: SystemBlocks, N: int) -> FemSystem:
     """Complete complex sparse system A0 - P B P^T of the blocks' mesh pair
-    and physics at the truncation order N.  The system holds no reference
+    and physics at the truncation order N.  B_N comes from the blocks' DtN
+    series, which adds only the modes between the last order it built and
+    N (from mode 0 when N is smaller), so a row of an ascending curve costs
+    O(m^2 + nnz), m the trace's node count.  The system holds no reference
     to the blocks, so A0 can be freed before the system is factored."""
     config = replace(blocks.config, N=N)
-    b_dtn = dtn_ops.assemble_dtn_matrix(blocks.trace_r, config.k, config.R,
-                                        config.N)
     a0 = blocks.matrix0
     data = a0.data.copy()
-    data[blocks.dtn_slots] -= b_dtn.ravel()
+    data[blocks.dtn_slots] -= blocks.dtn.matrix(config.N).ravel()
     matrix = sp.csr_matrix((data, a0.indices, a0.indptr), shape=a0.shape)
     return FemSystem(matrix=matrix, rhs=blocks.load.copy(),
                      dof_map=blocks.dof_map, disc_mesh=blocks.disc_mesh,

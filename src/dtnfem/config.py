@@ -42,11 +42,16 @@ class PhysicalConfig:
             raise ValueError("densities must be positive")
         if self.omega <= 0.0 or self.k <= 0.0:
             raise ValueError("omega and k must be positive")
-        with np.errstate(over="ignore", under="ignore"):   # solve divides
-            scale = np.float64(self.rho_f) * np.float64(self.omega) ** 2
-        if not (np.isfinite(scale) and scale >= np.finfo(float).tiny):
-            raise ValueError(f"rho_f omega^2 = {scale:g} is not a finite "
-                             "normal float")
+        # the assembly squares omega first, then scales by rho_f; solve
+        # divides by the product: each must be a finite normal float
+        with np.errstate(over="ignore", under="ignore"):
+            omega2 = np.float64(self.omega) ** 2
+            scale = np.float64(self.rho_f) * omega2
+        for what, value in (
+                (f"omega^2 = {omega2:g} for omega = {self.omega:g}", omega2),
+                (f"rho_f omega^2 = {scale:g}", scale)):
+            if not (np.isfinite(value) and value >= np.finfo(float).tiny):
+                raise ValueError(f"{what} is not a finite normal float")
         if not (self.R > self.R0 > 0.0):
             raise ValueError("need R > R0 > 0")
         if self.N < 0 or self.N != int(self.N):

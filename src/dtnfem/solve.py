@@ -34,7 +34,6 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from . import dtn as dtn_ops
 from .assembly import FemSystem, Sectors, SystemBlocks, _p1_geometry
 from .config import PhysicalConfig
 from .mesh import Mesh
@@ -176,7 +175,9 @@ def solve_linear(matrix: sp.spmatrix, rhs: np.ndarray,
 class LowRankSweep:
     """Every truncation order N <= ``order`` of one SystemBlocks from a single
     LU of the real A0, each order by the Woodbury identity (module
-    docstring) for the load of the blocks.
+    docstring) for the load of the blocks.  V and D are the columns and
+    weights of the blocks' DtN series (``SystemBlocks.dtn``), the ones
+    ``assemble_system`` builds each order's B from.
 
     A0 has a natural (Neumann) condition at R, so it can be singular at
     isolated k while every A0 - P B P^T is not: when SuperLU cannot factor
@@ -189,8 +190,7 @@ class LowRankSweep:
         self.kept = {}   # order -> c_N of every x that passed the gate
         self._c = {}     # order -> c_N, or None if its solve was singular
         self._dofs = blocks.dof_map.pressure(blocks.trace_r.node_indices)
-        self._columns, self._weights = dtn_ops.dtn_factor(
-            blocks.trace_r, blocks.config.k, blocks.config.R, order)
+        self._columns, self._weights = blocks.dtn.factor(order)
         # A0 is real; the ``real`` of a complex CSR matrix shares its data,
         # so copy before dropping the empty DtN slots (they would only add
         # fill), or blocks.matrix0 itself would lose them

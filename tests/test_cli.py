@@ -369,6 +369,22 @@ def test_fluid_scale_out_of_range_is_a_configuration_error(flags, tmp_path,
     assert not out.exists()
 
 
+def test_overflowing_omega_squared_is_named(tmp_path, capsys):
+    """rho_f omega^2 = 1e20 is in range, but the assembly squares omega
+    first, and omega^2 overflows: the refusal names omega^2 and omega."""
+    out = tmp_path / "out.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run(["solve", "--level", "0", "--omega", "1e160",
+                    "--rho-f", "1e-300", "--output", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "configuration error: omega^2 = inf for omega = 1e+160" in err
+    assert "rho_f" not in err and "Traceback" not in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["solve", "--level", "0", "--omega=7.5e-87"],
     ["convergence", "--levels=1", "--order=4", "--k=1e-150"]])

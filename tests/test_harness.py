@@ -10,7 +10,7 @@ import pytest
 from numpy.polynomial.legendre import leggauss
 
 import dtnfem
-from dtnfem import PhysicalConfig, StudyConfig, analytic, harness
+from dtnfem import PhysicalConfig, StudyConfig, analytic, harness, special
 from dtnfem.assembly import SystemBlocks
 from dtnfem.mesh import _coarse_pair_triangles, triangle_areas
 from dtnfem.solve import FieldSolution, LowRankSweep
@@ -442,6 +442,33 @@ def test_coefficient_setup_runs_once_per_curve_before_its_first_assembly(
     harness.truncation_study(StudyConfig(k_values=(1.0, 2.0), levels=(1, 2),
                                          n_values=(1, 2, 3, 4)))
     assert events == (["setup"] + ["row"] * 4) * 4
+
+
+def test_non_ascending_orders_give_the_ascending_rows(truncation_result):
+    """Orders out of order and repeated (the DtN series restarts from mode
+    0 for a smaller N) give each N the ascending study's row bitwise."""
+    rows = {(r.h, r.N): (r.h, r.dofs, r.err_h0, r.err_h1)
+            for r in truncation_result.reports}
+    shuffled = harness.truncation_study(StudyConfig(n_values=(7, 2, 20, 2)))
+    assert len(shuffled.reports) == 12
+    for r in shuffled.reports:
+        assert (r.h, r.dofs, r.err_h0, r.err_h1) == rows[r.h, r.N]
+
+
+def test_impedances_are_evaluated_once_per_curve(monkeypatch):
+    """The order check before any mesh evaluates z_0..z_8 once, then each
+    curve once, for its sweep: every row takes its factor and B_N from the
+    curve's DtN series."""
+    orders, coefficients = [], special.dtn_coefficients
+
+    def counting(order, k, radius):
+        orders.append(order)
+        return coefficients(order, k, radius)
+
+    monkeypatch.setattr(special, "dtn_coefficients", counting)
+    harness.truncation_study(StudyConfig(levels=(1, 2),
+                                         n_values=tuple(range(1, 9))))
+    assert orders == [8] * 3
 
 
 def test_seed0_truncation_rows_match_the_benchmark_reference(
