@@ -488,10 +488,14 @@ def truncation_study(cfg: StudyConfig) -> TruncationResult:
 
     The N-independent matrix A0, its sparse factorization, the oracle
     values at the quadrature points and the coefficient form of the errors
-    (``_SweepErrors``) are built once per curve, before its first row.  Each
-    N then assembles its absorbing-boundary matrix and is solved from that
-    one factorization as a rank-(2N+1) update (``solve.LowRankSweep``), with
-    the direct solve as the fallback; a single order is solved directly.
+    (``_SweepErrors``) are built once per curve, before its first row, and
+    so are z_0..z_N_max, once, in the blocks' DtN series.  Each N then
+    assembles its system with the series' B_N, which adds only the modes
+    past the previous row's order (from mode 0 when N is smaller), and is
+    solved from that one factorization as a rank-(2N+1) update
+    (``solve.LowRankSweep``), with the direct solve as the fallback; a
+    single order is solved directly.  The rows do not depend on the order
+    of ``n_values``.
     A swept row's errors come from its coefficients c_N alone; a row solved
     directly takes the pass over every quadrature point.
     """
