@@ -28,11 +28,8 @@ __all__ = [
     "SeriesSolution", "SingularModeError",
     "modal_system", "solve_modes",
     "eval_pressure", "eval_displacement", "trace_mode_coefficients",
-    "default_mode_budget",
 ]
 
-_RESIDUAL_RTOL = 1e-12
-_TAIL_RTOL = 1e-16
 _BLOCK = 1024          # points per block: no temporary grows with the points
 _J_SEED_MIN = 1e-250   # smallest J_M seed the backward recurrence accepts
 
@@ -91,16 +88,12 @@ def modal_system(n: int, config: PhysicalConfig):
     return E, e
 
 
-def default_mode_budget(config: PhysicalConfig) -> int:
-    return max(30, int(np.ceil(config.k * config.R0)) + 25)
-
-
 @dataclass(frozen=True)
 class SeriesSolution:
     """Retained modal coefficients; orders 0 .. n_modes-1.
 
     n_modes is where :func:`solve_modes` stopped: the first mode whose field
-    on r = R0 is negligible (see there), or the mode budget.
+    on r = R0 is negligible (see there), or a budget set by the caller.
     """
 
     config: PhysicalConfig
@@ -123,24 +116,23 @@ class SeriesSolution:
 
 def solve_modes(config: PhysicalConfig,
                 n_modes: int | None = None) -> SeriesSolution:
-    """Solve the per-mode 3x3 systems; the mode budget is an upper bound.
+    """Solve the per-mode 3x3 systems up to the first negligible mode.
 
     Mode n's field term on r = R0 is (n+1)^2 max(|A_n H_n(k R0)|,
     |B_n J_n(k_p R0)|, |C_n J_n(k_s R0)|), the (n+1)^2 covering the n and n^2
     of the angular derivatives.  The sum stops before the first mode past
     n = 2 whose term is below 1e-16 of the largest so far (B_n and C_n grow
-    with n, so a stop on the coefficients alone would never fire).  Raises
-    SingularModeError if any solve leaves a residual above 1e-12 relative (a
-    resonant or otherwise degenerate configuration).
+    with n, so a stop on the coefficients alone would never fire).  That is
+    the only stop: a budget n_modes < MAX_ORDER is an upper bound, and the
+    default, MAX_ORDER - 1, is a ValueError if it runs out first.  Raises
+    SingularModeError if a solve's normwise backward error, in max norms, is
+    above 1e-14, or if E_n with its columns and then its rows scaled to unit
+    largest entry has sigma_min/sigma_max below 1e-12 (a degenerate system).
     """
-    budget = default_mode_budget(config) if n_modes is None else int(n_modes)
-    minimum = int(np.ceil(np.e * config.k * config.R0 / 2.0)) + 10
-    if budget < minimum:
-        raise ValueError(f"mode budget {budget} below tail-negligibility "
-                         f"minimum {minimum}")
-    if budget + 1 > special.MAX_ORDER:
-        raise ValueError(f"mode budget {budget} exceeds the special-function "
-                         f"order cap {special.MAX_ORDER}")
+    budget = special.MAX_ORDER - 1 if n_modes is None else int(n_modes)
+    if not 1 <= budget < special.MAX_ORDER:
+        raise ValueError(f"mode budget {budget} outside 1 .. "
+                         f"{special.MAX_ORDER - 1}, the order cap")
 
     xp, xs = config.k_p * config.R0, config.k_s * config.R0
     A, B, C = [], [], []
@@ -151,21 +143,29 @@ def solve_modes(config: PhysicalConfig,
             with np.errstate(over="raise", divide="raise", invalid="raise"):
                 E, e = modal_system(n, config)
                 X = np.linalg.solve(E, e)
-                res = np.linalg.norm(E @ X - e)
+                backward = np.abs(E @ X - e).max() / (
+                    np.abs(E).sum(1).max() * np.abs(X).max() + np.abs(e).max())
+                scaled = E / np.abs(E).max(axis=0)
+                scaled /= np.abs(scaled).max(axis=1, keepdims=True)
+                sigma = np.linalg.svd(scaled, compute_uv=False)
                 # the field term of the docstring; E[2, 0] is H_n(k R0)
                 term = (n + 1) ** 2 * max(abs(X[0] * E[2, 0]),
                                           abs(X[1] * _j(n, xp)),
                                           abs(X[2] * _j(n, xs)))
         except (np.linalg.LinAlgError, FloatingPointError) as exc:
             raise SingularModeError(f"mode {n}: {exc}") from exc
-        if res > _RESIDUAL_RTOL * max(np.linalg.norm(e), 1e-300):
+        if backward > 1e-14 or sigma[-1] < 1e-12 * sigma[0]:
             raise SingularModeError(
-                f"mode {n}: solve residual {res:.3e} exceeds "
-                f"{_RESIDUAL_RTOL:g} * ||e||; configuration near resonance?")
+                f"mode {n}: backward error {backward:.3e}, equilibrated "
+                f"sigma_min/sigma_max {sigma[-1] / sigma[0]:.3e}; "
+                "configuration near resonance?")
         largest = max(largest, term)
-        if largest > 0.0 and term < _TAIL_RTOL * largest and n > 2:
+        if largest > 0.0 and term < 1e-16 * largest and n > 2:
             break
         A.append(X[0]); B.append(X[1]); C.append(X[2])
+    if n_modes is None and len(A) == budget:
+        raise ValueError(f"k R0 = {config.k * config.R0:g}: the default "
+                         f"budget of {budget} modes ends before the tail stop")
 
     return SeriesSolution(
         config=config,

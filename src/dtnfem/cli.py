@@ -106,7 +106,7 @@ def _add_common(sub):
     sub.add_argument("--R", type=float)
     sub.add_argument("--d", help="incident direction, e.g. '1,0'")
     sub.add_argument("--n-angular", dest="n_angular", type=int)
-    sub.add_argument("--modes", type=int, help="oracle mode budget")
+    sub.add_argument("--modes", type=int, help="upper bound on oracle modes")
 
 
 def _study_config(args, **extra) -> StudyConfig:

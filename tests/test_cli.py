@@ -189,12 +189,14 @@ def test_oracle_solid_point(capsys):
 
 
 def test_oracle_header_reports_the_modes_kept(capsys):
-    """The mode budget (--modes) is an upper bound on the modes kept."""
-    for extra, kept in (([], 17), (["--modes", "40"], 17),
-                        (["--modes", "12"], 12)):
-        assert run(["oracle", "--k", "1", *extra, "--point", "1.5", "0"]) == 0
+    """The mode budget (--modes) is an upper bound on the modes kept; by
+    default the tail stop alone decides, at k = 43 too."""
+    for k, extra, kept in (("1", [], 17), ("1", ["--modes", "40"], 17),
+                           ("1", ["--modes", "12"], 12), ("10", [], 38),
+                           ("16", [], 48), ("43", [], 85)):
+        assert run(["oracle", "--k", k, *extra, "--point", "1.5", "0"]) == 0
         header = capsys.readouterr().out.splitlines()[0]
-        assert header == f"oracle k=1 modes={kept} point=(1.5, 0) r=1.5"
+        assert header == f"oracle k={k} modes={kept} point=(1.5, 0) r=1.5"
 
 
 def test_mesh_dump_roundtrip(tmp_path):
