@@ -9,14 +9,14 @@ Blocks of the variational problem, in the unknown ordering
 A1: elasticity form (lam div.div + 2 mu eps:eps - rho omega^2 mass) on the disc;
 A2: Helmholtz form (stiffness - k^2 mass) on the annulus; C3/C4: interface
 couplings through the outward normal of the solid; B: the truncated
-absorbing-boundary matrix subtracted into the pressure-pressure block.  The
-N-independent matrix A0 = [[A1, C4], [C3, A2]] is assembled once; each order
-N subtracts its B = U diag(d) U^T at fixed slots of A0's pattern, B taken
-from the one DtN series (``dtn.DtnSeries``) of the blocks.  Every
-system of a polar mesh pair is factored in sector-Fourier space (``solve``
-module) through the pair's sector table (``Sectors``).
-Volume element integrals are exact for P1; boundary loads use 4-point Gauss
-per edge.
+absorbing-boundary matrix subtracted into the pressure-pressure block.  A1
+and A2 are sums of scalar P1 matrices on one scatter map per mesh
+(``_P1Map``); A0 = [[A1, C4], [C3, A2]], N-independent, is written once, and
+each order N subtracts B = U diag(d) U^T, from the blocks' DtN series
+(``dtn.DtnSeries``), at fixed slots of A0's pattern.  Every system of a
+polar mesh pair is factored in sector-Fourier space (``solve`` module)
+through the pair's sector table (``Sectors``).  Volume element integrals
+are exact for P1; boundary loads use 4-point Gauss per edge.
 """
 
 from __future__ import annotations
@@ -35,8 +35,6 @@ __all__ = [
     "assemble_elastic", "assemble_helmholtz", "assemble_coupling",
     "assemble_load", "assemble_blocks", "assemble_system",
 ]
-
-_P1_MASS = (np.ones((3, 3)) + np.eye(3)) / 12.0
 
 # 4-point Gauss-Legendre on [-1, 1] for the oscillatory boundary loads
 _GAUSS_X = np.array([
@@ -76,58 +74,67 @@ def _p1_geometry(mesh: Mesh):
     if np.any(det <= 0.0):
         raise ValueError("mesh contains a degenerate or inverted triangle")
     g = np.empty_like(p)
-    g[:, 0, 0] = y[:, 1] - y[:, 2]
-    g[:, 0, 1] = x[:, 2] - x[:, 1]
-    g[:, 1, 0] = y[:, 2] - y[:, 0]
-    g[:, 1, 1] = x[:, 0] - x[:, 2]
-    g[:, 2, 0] = y[:, 0] - y[:, 1]
-    g[:, 2, 1] = x[:, 1] - x[:, 0]
+    for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        g[:, a, 0], g[:, a, 1] = y[:, b] - y[:, c], x[:, c] - x[:, b]
     g /= det[:, None, None]
     return g, 0.5 * det
 
 
-def _symmetrize(matrix: sp.csr_matrix) -> sp.csr_matrix:
-    # element matrices are exactly symmetric, but the duplicate-summation
-    # order differs between (i,j) and (j,i); restore bitwise symmetry
-    return ((matrix + matrix.T) * 0.5).tocsr()
+class _P1Map:
+    """One mesh's scatter map (Cuvelier, Japhet & Scarella, BIT Numer. Math.
+    56, 2016): its CSR pattern (``indptr``, ``indices``), the slots in it of
+    the element entries (T, 3, 3) and, as ``extra``, of all ``dense`` node
+    pairs, row-major; and on it K_xx, K_yy, K_xy (d_x phi_i d_x phi_j, ...)
+    and M, each entry (u_a v_b) area summed in triangle order, so that
+    (i, j) and (j, i) of K_xx, K_yy and M are the same sum bitwise."""
 
+    def __init__(self, mesh: Mesh, dense=()):
+        g, area = _p1_geometry(mesh)
+        tri, n = mesh.triangles, np.int64(mesh.num_nodes)   # keys up to n^2
+        dense = np.asarray(dense, dtype=np.int64)
+        keys = np.append(tri[:, :, None] * n + tri[:, None, :],
+                         dense[:, None] * n + dense)
+        pairs, slots = np.unique(keys, return_inverse=True)
+        self.indptr = np.searchsorted(pairs, np.arange(n + 1) * n)
+        self.indices = pairs % n
+        self.entries = slots[:tri.size * 3].reshape(-1, 3, 3)
+        self.extra = slots[tri.size * 3:]
 
-def _p1_scatter(mesh: Mesh, ke: np.ndarray) -> sp.csr_matrix:
-    """Nodal matrix summing the (T, 3, 3) element matrices ``ke``."""
-    rows = np.broadcast_to(mesh.triangles[:, :, None], ke.shape)
-    cols = np.broadcast_to(mesh.triangles[:, None, :], ke.shape)
-    n = mesh.num_nodes
-    return sp.coo_matrix(
-        (ke.ravel(), (rows.ravel(), cols.ravel())), shape=(n, n)).tocsr()
+        def scatter(u, v=None):   # u_a v_b area, or u (T, 3, 3) area
+            element = u if v is None else u[:, :, None] * v[:, None, :]
+            return np.bincount(self.entries.ravel(), (
+                element * area[:, None, None]).ravel(), len(self.indices))
+        gx, gy = g[..., 0], g[..., 1]
+        self.k_xx, self.k_yy = scatter(gx, gx), scatter(gy, gy)
+        self.k_xy = scatter(gx, gy)
+        self.mass = scatter((np.ones((1, 3, 3)) + np.eye(3)) / 12.0)
+
+    def csr(self, data) -> sp.csr_matrix:
+        return sp.csr_matrix((data, self.indices, self.indptr),
+                             shape=(len(self.indptr) - 1,) * 2)
 
 
 def assemble_helmholtz(mesh: Mesh, k: float) -> sp.csr_matrix:
     """Stiffness - k^2 mass over the fluid region, exact P1 integration."""
-    g, area = _p1_geometry(mesh)
-    ke = np.einsum("tad,tbd->tab", g, g) * area[:, None, None]
-    ke = ke - k ** 2 * area[:, None, None] * _P1_MASS[None]
-    return _symmetrize(_p1_scatter(mesh, ke))
+    p = _P1Map(mesh)
+    return p.csr(p.k_xx + p.k_yy - k ** 2 * p.mass)
 
 
 def assemble_elastic(mesh: Mesh, lam: float, mu: float, rho: float,
                      omega: float) -> sp.csr_matrix:
-    """lam div.div + 2 mu eps:eps - rho omega^2 mass over the solid disc."""
-    g, area = _p1_geometry(mesh)
-    dots = np.einsum("tad,tbd->tab", g, g)
-    eye = np.eye(2)
-    ke = lam * np.einsum("tai,tbj->taibj", g, g)
-    ke += mu * (dots[:, :, None, :, None] * eye[None, None, :, None, :]
-                + np.einsum("taj,tbi->taibj", g, g))
-    ke -= rho * omega ** 2 * _P1_MASS[None, :, None, :, None] \
-        * eye[None, None, :, None, :]
-    ke *= area[:, None, None, None, None]
-
-    dofs = 2 * mesh.triangles[:, :, None] + np.arange(2)[None, None, :]
-    rows = np.broadcast_to(dofs[:, :, :, None, None], ke.shape)
-    cols = np.broadcast_to(dofs[:, None, None, :, :], ke.shape)
+    """lam div.div + 2 mu eps:eps - rho omega^2 mass over the solid disc; a
+    node pair's 2x2 block (1, 0) is (0, 1) of its transpose, bitwise."""
+    p = _P1Map(mesh)
+    tr = np.empty_like(p.indices)   # slot (i, j) -> slot (j, i)
+    tr[p.entries] = p.entries.transpose(0, 2, 1)
+    mass = rho * omega ** 2 * p.mass
+    v = np.empty((len(tr), 2, 2))
+    v[:, 0, 0] = (lam + 2 * mu) * p.k_xx + mu * p.k_yy - mass
+    v[:, 1, 1] = (lam + 2 * mu) * p.k_yy + mu * p.k_xx - mass
+    v[:, 0, 1] = lam * p.k_xy + mu * p.k_xy[tr]
+    v[:, 1, 0] = v[tr, 0, 1]
     n = 2 * mesh.num_nodes
-    return _symmetrize(sp.coo_matrix(
-        (ke.ravel(), (rows.ravel(), cols.ravel())), shape=(n, n)).tocsr())
+    return sp.bsr_matrix((v, p.indices, p.indptr), shape=(n, n)).tocsr()
 
 
 @dataclass(frozen=True)
@@ -165,20 +172,17 @@ def assemble_coupling(disc_mesh: Mesh, annulus_mesh: Mesh, rho_f: float,
     integral_Gamma n p . v ds; C3 = rho_f omega^2 C4^T exactly, both built
     from the same edge mass integrals of linear traces."""
     edges = _interface_edges(disc_mesh, annulus_mesh)
-    n_e = len(edges.lengths)
     edge_mass = (np.array([[1 / 3, 1 / 6], [1 / 6, 1 / 3]])[None]
                  * edges.lengths[:, None, None])
-
     # entries[e, a, comp, b] = n_comp * integral(phi_a zeta_b)
     entries = edges.normals[:, None, :, None] * edge_mass[:, :, None, :]
     rows = dof_map.displacement(edges.solid_nodes[:, :, None, None],
                                 np.arange(2)[None, None, :, None])
-    rows = np.broadcast_to(rows, entries.shape)
-    cols = np.broadcast_to(edges.fluid_nodes[:, None, None, :], entries.shape)
-
-    shape_c4 = (2 * dof_map.n_solid_nodes, dof_map.n_fluid_nodes)
-    c4 = sp.coo_matrix(
-        (entries.ravel(), (rows.ravel(), cols.ravel())), shape=shape_c4).tocsr()
+    cols = edges.fluid_nodes[:, None, None, :]
+    c4 = sp.coo_matrix((entries.ravel(), (
+        np.broadcast_to(rows, entries.shape).ravel(),
+        np.broadcast_to(cols, entries.shape).ravel())),
+        shape=(2 * dof_map.n_solid_nodes, dof_map.n_fluid_nodes)).tocsr()
     c3 = (rho_f * omega ** 2) * c4.T.tocsr()
     return c3, c4
 
@@ -187,8 +191,7 @@ def assemble_load(disc_mesh: Mesh, annulus_mesh: Mesh, config: PhysicalConfig,
                   dof_map: DofMap) -> np.ndarray:
     """Incident plane-wave functional over the interface circle."""
     edges = _interface_edges(disc_mesh, annulus_mesh)
-    d = np.asarray(config.d)
-    k = config.k
+    d, k = np.asarray(config.d), config.k
 
     # quadrature points on every edge at once: (E, Q, 2)
     lin = 0.5 * (1.0 + _GAUSS_X)
@@ -199,20 +202,17 @@ def assemble_load(disc_mesh: Mesh, annulus_mesh: Mesh, config: PhysicalConfig,
     jac = 0.5 * edges.lengths
 
     rhs = np.zeros(dof_map.size, dtype=complex)
-    # pressure rows: + integral (ik d.n) p_inc zeta_b
-    dn = edges.normals @ d
-    q_weight = (1j * k * dn)[:, None] * pinc * _GAUSS_W[None, :]
-    for b in range(2):
-        vals = jac * np.sum(q_weight * shapes[b][None, :], axis=1)
-        np.add.at(rhs, dof_map.pressure(edges.fluid_nodes[:, b]), vals)
-    # displacement rows: - integral n p_inc . v
+    # pressure rows: + integral (ik d.n) p_inc zeta_a; displacement rows:
+    # - integral n p_inc . v
+    q_weight = (1j * k * (edges.normals @ d))[:, None] * pinc * _GAUSS_W
     v_weight = pinc * _GAUSS_W[None, :]
     for a in range(2):
+        np.add.at(rhs, dof_map.pressure(edges.fluid_nodes[:, a]),
+                  jac * np.sum(q_weight * shapes[a][None, :], axis=1))
         base = jac * np.sum(v_weight * shapes[a][None, :], axis=1)
         for comp in range(2):
-            vals = -edges.normals[:, comp] * base
             np.add.at(rhs, dof_map.displacement(edges.solid_nodes[:, a], comp),
-                      vals)
+                      -edges.normals[:, comp] * base)
     return rhs
 
 
@@ -264,9 +264,10 @@ class SystemBlocks:
     reusable across truncation orders.
 
     ``config`` is the physics the blocks were assembled with; its N is not
-    used.  ``matrix0`` is A0 = [[A1, C4], [C3, A2]]; its pattern also holds
-    the dense GAMMA_R pressure block, explicitly zero where A2 has no entry,
-    and ``dtn_slots`` are the row-major positions of that block in its data.
+    used.  ``matrix0`` is A0 = [[A1, C4], [C3, A2]]; A1 and A2 keep the
+    patterns of the meshes' scatter maps, exact zeros included, and A2's
+    holds the dense GAMMA_R block, explicitly zero where no triangle reaches:
+    ``dtn_slots`` are the row-major positions of that block in A0's data.
     ``sectors`` is the sector table every factorization of the pair's
     systems works in, or None for one sector.  ``dtn`` is the DtN series
     of ``trace_r``, k and R that every order of the pair takes its B_N and
@@ -300,27 +301,32 @@ class FemSystem:
 def assemble_blocks(disc_mesh: Mesh, annulus_mesh: Mesh,
                     config: PhysicalConfig) -> SystemBlocks:
     dof_map = DofMap(disc_mesh.num_nodes, annulus_mesh.num_nodes)
-    a1 = assemble_elastic(disc_mesh, config.lam, config.mu, config.rho,
-                          config.omega)
-    a2 = assemble_helmholtz(annulus_mesh, config.k)
     c3, c4 = assemble_coupling(disc_mesh, annulus_mesh, config.rho_f,
                                config.omega, dof_map)
     load = assemble_load(disc_mesh, annulus_mesh, config, dof_map)
     trace_r = boundary_trace(annulus_mesh, GAMMA_R)
+    a1 = assemble_elastic(disc_mesh, config.lam, config.mu, config.rho,
+                          config.omega)
+    ring = _P1Map(annulus_mesh, trace_r.node_indices)
+    a2 = ring.csr(ring.k_xx + ring.k_yy - config.k ** 2 * ring.mass)
+    # A0 by rows: A1's entries then C4's, or C3's then A2's
+    top = a1.indptr + c4.indptr
+    indptr = np.append(top, top[-1] + c3.indptr[1:] + a2.indptr[1:])
+    data, indices = np.empty(indptr[-1], complex), np.empty(indptr[-1], int)
 
-    dofs = dof_map.pressure(trace_r.node_indices)
-    rows, cols = np.repeat(dofs, len(dofs)), np.tile(dofs, len(dofs))
-    a0 = sp.bmat([[a1.astype(complex), c4], [c3, a2]], format="coo")
-    matrix0 = sp.coo_matrix(
-        (np.append(a0.data, np.zeros(len(rows))),
-         (np.append(a0.row, rows), np.append(a0.col, cols))),
-        shape=a0.shape).tocsr()
-    n = matrix0.shape[0]
-    keys = np.repeat(np.arange(n), np.diff(matrix0.indptr)) * n \
-        + matrix0.indices
+    def place(block, before, column0):   # entry e of row r at e + before[r]
+        at = np.arange(block.nnz) + np.repeat(before, np.diff(block.indptr))
+        data[at], indices[at] = block.data, column0 + block.indices
+        return at
+
+    ns2 = 2 * dof_map.n_solid_nodes
+    place(a1, c4.indptr[:-1], 0)
+    place(c4, a1.indptr[1:], ns2)
+    place(c3, top[-1] + a2.indptr[:-1], 0)
+    dtn_slots = place(a2, top[-1] + c3.indptr[1:], ns2)[ring.extra]
+    matrix0 = sp.csr_matrix((data, indices, indptr), shape=(dof_map.size,) * 2)
     return SystemBlocks(disc_mesh=disc_mesh, annulus_mesh=annulus_mesh,
-                        config=config, matrix0=matrix0,
-                        dtn_slots=np.searchsorted(keys, rows * n + cols),
+                        config=config, matrix0=matrix0, dtn_slots=dtn_slots,
                         load=load, dof_map=dof_map, trace_r=trace_r,
                         sectors=_sectors((disc_mesh, annulus_mesh), dof_map,
                                          config.rho_f * config.omega ** 2),

@@ -19,7 +19,7 @@ import scipy.sparse as sp
 
 from . import analytic, special
 from . import dtn as dtn_ops
-from .assembly import (_P1_MASS, _p1_geometry, _p1_scatter, assemble_blocks,
+from .assembly import (_P1Map, _p1_geometry, assemble_blocks,
                        assemble_system)
 from .config import PhysicalConfig
 from .mesh import (Mesh, _coarse_pair_triangles, build_annulus_mesh,
@@ -283,10 +283,8 @@ class _SweepErrors:
         self._h = (w.T @ parts.T).T.reshape(2, 2, r)  # [norm, re/im, column]
         self._gram = np.zeros((2, r, r))
         for (mesh, *_), (rows, n_comp) in zip(quad._regions, layout):
-            g, area = _p1_geometry(mesh)
-            mass = _p1_scatter(mesh, area[:, None, None] * _P1_MASS)
-            stiff = _p1_scatter(
-                mesh, np.einsum("tad,tbd->tab", g, g) * area[:, None, None])
+            p1 = _P1Map(mesh)
+            mass, stiff = p1.csr(p1.mass), p1.csr(p1.k_xx + p1.k_yy)
             for comp in range(n_comp):
                 wc = np.ascontiguousarray(w[rows][comp::n_comp])
                 self._gram[0] += wc.T @ (mass @ wc)

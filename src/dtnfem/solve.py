@@ -191,20 +191,15 @@ class LowRankSweep:
         self._c = {}     # order -> c_N, or None if its solve was singular
         self._dofs = blocks.dof_map.pressure(blocks.trace_r.node_indices)
         self._columns, self._weights = blocks.dtn.factor(order)
-        # A0 is real; the ``real`` of a complex CSR matrix shares its data,
-        # so copy before dropping the empty DtN slots (they would only add
-        # fill), or blocks.matrix0 itself would lose them
-        a0 = blocks.matrix0.real.copy()
-        a0.eliminate_zeros()
-        try:
-            self._lu = _Factor(a0, blocks.sectors)
+        try:   # A0 is real; _Factor's sparse products drop its zeros
+            self._lu = _Factor(blocks.matrix0.real, blocks.sectors)
         except RuntimeError:     # A0 exactly singular: every order goes direct
             self._lu = None
             return
         # W = A0^{-1} V in Fortran order, so that an order's leading columns
         # are one contiguous block; column 2n-1 and 2n are mode n
         r = self._columns.shape[1]
-        self.w = np.empty((a0.shape[0], r), order="F")
+        self.w = np.empty((len(blocks.load), r), order="F")
         self._lu.solve_modes(self._dofs, self._columns,
                              (np.arange(r) + 1) // 2, self.w)
         self._s = self._columns.T @ self.w[self._dofs]
