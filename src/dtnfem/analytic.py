@@ -9,9 +9,11 @@ interface transmission conditions.  The fields are
     u = grad(phi) + (d_y psi, -d_x psi),       r <= R0,
     phi = sum_n B_n J_n(k_p r) cos(n t),  psi = sum_n C_n J_n(k_s r) sin(n t),
 
-with t measured from the incidence direction d.  This is the ground-truth
-oracle for every error norm in the package; its own correctness is pinned by
-transmission-residual and PDE-residual tests rather than trusted formulas.
+with t measured from the incidence direction d.  Both fields and their
+Cartesian gradients are mode sums taken by one block loop (``_mode_sums``).
+This is the ground-truth oracle for every error norm in the package; its own
+correctness is pinned by transmission-residual and PDE-residual tests rather
+than trusted formulas.
 """
 
 from __future__ import annotations
@@ -212,27 +214,23 @@ def _rotated_rows(cos_c, sin_c, phases):
 
 
 def _cached_rows(sol: SeriesSolution, build, sectors: int) -> np.ndarray:
-    """``build(sol, sectors)``, built once per solution and sector count."""
+    """Real rows (sectors, outputs, re/im, kinds * 2(L+1)) of the mode sums
+    whose exponential coefficients (outputs, kinds, 2L+1) and L are
+    ``build(sol)``, against the real basis [Z_l cos(lt); Z_l sin(lt)],
+    l = 0..L, of each kind's radial table Z; built once per solution and
+    sector count."""
     if sectors < 1:
         raise ValueError("sectors must be a positive integer")
     key = (build, sectors)
     if key not in sol._rows:
-        rows = build(sol, sectors)
+        outputs, L = build(sol)
+        rows = _rotated_rows(*_trigonometric(outputs, L),
+                             _sector_phases(L + 1, sectors))
+        rows = rows.transpose(2, 0, 1, 3).reshape(sectors, len(outputs), -1)
+        rows = np.stack([rows.real, rows.imag], axis=2)
         rows.setflags(write=False)
         sol._rows[key] = rows
     return sol._rows[key]
-
-
-def _pressure_rows(sol: SeriesSolution, sectors: int) -> np.ndarray:
-    """Rows (3, sectors, 2M) of p and dp/dtheta against the basis
-    [H_n(kr) cos(nt); H_n(kr) sin(nt)], n < M, t = theta - alpha, and of
-    dp/dr against the same rows with H_n' in place of H_n.  The basis stays
-    in cos/sin, so p(-t) is p(t) bitwise for a single sector."""
-    a = sol.pressure_coeffs
-    zero = np.zeros_like(a)
-    return _rotated_rows(np.stack([a, zero, (0.5 * sol.config.k) * a]),
-                         np.stack([zero, -np.arange(sol.n_modes) * a, zero]),
-                         _sector_phases(sol.n_modes, sectors))
 
 
 def _sectored(v: np.ndarray, shape: tuple) -> np.ndarray:
@@ -240,55 +238,6 @@ def _sectored(v: np.ndarray, shape: tuple) -> np.ndarray:
     sector axis for a single sector."""
     lead = v.shape[:1] if len(v) > 1 else ()
     return v.reshape(lead + shape + v.shape[2:])
-
-
-def eval_pressure(sol: SeriesSolution, r, theta, with_gradient: bool = False,
-                  check_domain: bool = True, sectors: int = 1):
-    """Scattered pressure at (r, theta); optionally its polar gradient.
-
-    Returns p, or (p, (dp_dr, dp_dtheta)) with with_gradient=True.  Scalars in,
-    scalars out.  With sectors=S > 1 every output gains a leading axis of
-    length S whose entry j is taken at (r, theta + 2 pi j / S): the radial
-    and angle tables are built for the given points only, and each sector is
-    a product with phases on the mode axis.  The series converges for any
-    r > 0 but only represents the physical field for r >= R0;
-    check_domain=False lifts the domain guard for quadrature points of
-    boundary triangles that cut the interface chord.
-    """
-    cfg = sol.config
-    rf, tf, shape = _broadcast(r, theta)
-    if check_domain and np.any(rf < cfg.R0 * (1.0 - 1e-12)):
-        raise ValueError("pressure series evaluated inside the solid (r < R0)")
-
-    M = sol.n_modes
-    k = cfg.k
-    tp = tf - _incidence_angle(cfg)
-    rows = _cached_rows(sol, _pressure_rows, sectors)
-    out = np.empty((3 if with_gradient else 1, sectors, rf.size),
-                   dtype=complex)
-    # the table once per distinct radius (quadrature points share radii),
-    # gathered per block
-    radii, at = np.unique(rf, return_inverse=True)
-    H_radii = _h_table(M, k * radii)          # orders 0..M
-    for blk in _blocks(rf.size):
-        H = H_radii.take(at[blk], axis=1)
-        trig = _cos_sin(_angle_table(M, tp[blk]))
-        basis = (H[:M] * trig).reshape(2 * M, -1)
-        if not with_gradient:
-            out[0, :, blk] = rows[0] @ basis
-            continue
-        out[:2, :, blk] = (rows[:2].reshape(2 * sectors, -1) @ basis
-                           ).reshape(2, sectors, -1)
-        dH = np.concatenate([-H[1:2], H[:M - 1]]) - H[1:]   # H_{-1} = -H_1
-        out[2, :, blk] = rows[2] @ (dH * trig).reshape(2 * M, -1)
-
-    values = [_sectored(v, shape) for v in out]   # p, dp/dtheta, dp/dr
-    if shape == () and sectors == 1:
-        values = [complex(v) for v in values]
-    if not with_gradient:
-        return values[0]
-    p, pt, pr = values
-    return p, (pr, pt)
 
 
 def _angle_table(M: int, t: np.ndarray) -> np.ndarray:
@@ -308,9 +257,10 @@ def _angle_table(M: int, t: np.ndarray) -> np.ndarray:
     return E
 
 
-def _cos_sin(E: np.ndarray) -> np.ndarray:
-    """The real and imaginary parts of an angle table (M, n) as one strided
-    view (2, M, n): [cos(nt); sin(nt)]."""
+def _re_im(E: np.ndarray) -> np.ndarray:
+    """The real and imaginary parts of a complex table (M, n) as one strided
+    view (2, M, n): [cos(nt); sin(nt)] of an angle table, [Re H_n; Im H_n]
+    of a Hankel table."""
     return E.view(float).reshape(E.shape + (2,)).transpose(2, 0, 1)
 
 
@@ -375,11 +325,32 @@ def _trigonometric(e: np.ndarray, L: int):
                            axis=-1))
 
 
-def _displacement_rows(sol: SeriesSolution, sectors: int) -> np.ndarray:
-    """Real rows (sectors, 6 outputs, re/im, 4(M+2)) of u_x, u_y, du_x/dx,
-    du_x/dy, du_y/dx and du_y/dy against the real basis
-    [J_l(k_p r) cos(lt); J_l(k_p r) sin(lt); J_l(k_s r) cos(lt);
-    J_l(k_s r) sin(lt)], l = 0..M+1, t = theta - alpha.
+def _pressure_modes(sol: SeriesSolution):
+    """Exponential coefficients (3 outputs, 2 kinds, 2M+1) of p, dp/dx and
+    dp/dy, and L = M, for the kinds Re H_l(kr) and Im H_l(kr), l = 0..M,
+    t = theta - alpha.
+
+    D+- maps H_m(kr) e^{im theta} to -+k H_{m+-1}(kr) e^{i(m+-1) theta}, as
+    it maps J_m in ``_displacement_modes`` (DLMF 10.6.2), so dp/dx +- i dp/dy
+    are p's modes shifted by +-1.  A complex coefficient c on H_l is c on
+    Re H_l and ic on Im H_l.  p's rows come out as exactly A_n on cos(nt)
+    and 0 on sin(nt), so a single sector's p(-t) is p(t) bitwise.
+    """
+    cfg = sol.config
+    L = sol.n_modes     # the largest order after a shift by 1
+    a = sol.pressure_coeffs
+    e = _exponential(a, np.zeros_like(a), L)
+    turn = np.exp(1j * _incidence_angle(cfg))    # e^{i alpha}
+    w = -cfg.k * turn * np.roll(e, 1)            # dp/dx + i dp/dy
+    v = cfg.k * np.conj(turn) * np.roll(e, -1)   # dp/dx - i dp/dy
+    outputs = np.stack([e, 0.5 * (w + v), -0.5j * (w - v)])
+    return np.stack([outputs, 1j * outputs], axis=1), L
+
+
+def _displacement_modes(sol: SeriesSolution):
+    """Exponential coefficients (6 outputs, 2 kinds, 2M+3) of u_x, u_y,
+    du_x/dx, du_x/dy, du_y/dx and du_y/dy, and L = M+1, for the kinds
+    J_l(k_p r) and J_l(k_s r), l = 0..M+1, t = theta - alpha.
 
     With D+- = d_x +- i d_y, u_x + i u_y = D+(phi - i psi) and
     u_x - i u_y = D-(phi + i psi), and D+- maps J_m(kr) e^{im theta} to
@@ -411,10 +382,66 @@ def _displacement_rows(sol: SeriesSolution, sectors: int) -> np.ndarray:
     outputs = np.stack([0.5 * (w + v), -0.5j * (w - v),
                         0.5 * (div + shear), 0.5 * (twist - curl),
                         0.5 * (twist + curl), 0.5 * (div - shear)])
-    rows = _rotated_rows(*_trigonometric(outputs, L),
-                         _sector_phases(L + 1, sectors))
-    rows = rows.transpose(2, 0, 1, 3).reshape(sectors, 6, -1)
-    return np.stack([rows.real, rows.imag], axis=2)
+    return outputs, L
+
+
+def _mode_sums(sol: SeriesSolution, build, radial, rf, tf, groups: tuple,
+               sectors: int) -> list:
+    """The first sum(groups) outputs of ``build``'s rows (``_cached_rows``)
+    at the points (rf, tf) for every sector, as complex arrays
+    (sectors, points, size), one per group size.  ``radial(radii)`` gives
+    the real radial tables (kinds, orders, radii), contiguous so that
+    ``take`` copies no more than its columns: built once per distinct
+    radius (quadrature points share radii) and gathered per block.  Each
+    block's sums are one real GEMM, written through the outputs' float
+    views (sector, point, output and re/im).
+    """
+    n_out = sum(groups)
+    rows = _cached_rows(sol, build, sectors)[:, :n_out]
+    rows = rows.reshape(sectors * 2 * n_out, -1)
+    tp = tf - _incidence_angle(sol.config)
+    radii, at = np.unique(rf, return_inverse=True)
+    tables = radial(radii)
+    outs = [np.empty((sectors, rf.size, n), dtype=complex) for n in groups]
+    parts = (slice(0, 2 * groups[0]), slice(2 * groups[0], 2 * n_out))
+    for blk in _blocks(rf.size):
+        Z = tables.take(at[blk], axis=2)
+        basis = Z[:, None] * _re_im(_angle_table(Z.shape[1], tp[blk]))
+        sums = (rows @ basis.reshape(rows.shape[1], -1)).reshape(
+            sectors, 2 * n_out, -1)
+        for out, part in zip(outs, parts):
+            out.view(float)[:, blk] = sums[:, part].transpose(0, 2, 1)
+    return outs
+
+
+def eval_pressure(sol: SeriesSolution, r, theta, with_gradient: bool = False,
+                  check_domain: bool = True, sectors: int = 1):
+    """Scattered pressure at (r, theta); optionally its gradient.
+
+    Returns p, or (p, grad) with with_gradient=True and grad[..., :] =
+    (dp/dx, dp/dy), Cartesian as ``eval_displacement``'s Jacobian; a scalar
+    point gives a complex p and a grad of shape (2,).  With sectors=S > 1
+    every output gains a leading axis of length S whose entry j is taken at
+    (r, theta + 2 pi j / S): the tables are built for the given points only,
+    and each sector is a product with phases on the mode axis.  The series
+    converges for any r > 0 but only represents the physical field for
+    r >= R0; check_domain=False lifts the domain guard for quadrature points
+    of boundary triangles that cut the interface chord.
+    """
+    cfg = sol.config
+    rf, tf, shape = _broadcast(r, theta)
+    if check_domain and np.any(rf < cfg.R0 * (1.0 - 1e-12)):
+        raise ValueError("pressure series evaluated inside the solid (r < R0)")
+
+    p, *grad = _mode_sums(
+        sol, _pressure_modes,
+        lambda radii: np.ascontiguousarray(
+            _re_im(_h_table(sol.n_modes, cfg.k * radii))),
+        rf, tf, (1, 2) if with_gradient else (1,), sectors)
+    p = _sectored(p[..., 0], shape)
+    if shape == () and sectors == 1:
+        p = complex(p)
+    return (p, _sectored(grad[0], shape)) if with_gradient else p
 
 
 def eval_displacement(sol: SeriesSolution, r, theta,
@@ -428,31 +455,15 @@ def eval_displacement(sol: SeriesSolution, r, theta,
     if check_domain and np.any(rf > cfg.R0 * (1.0 + 1e-12)):
         raise ValueError("displacement series evaluated outside the solid")
 
-    L = sol.n_modes + 1
-    n_out = 6 if with_gradient else 2
-    rows = _cached_rows(sol, _displacement_rows, sectors)[:, :n_out]
-    rows = rows.reshape(sectors * 2 * n_out, -1)
-    tp = tf - _incidence_angle(cfg)
-    # radial tables once per distinct radius, as in eval_pressure
-    radii, at = np.unique(rf, return_inverse=True)
-    J_radii = np.stack([_j_table(sol.n_modes, cfg.k_p * radii),
-                        _j_table(sol.n_modes, cfg.k_s * radii)])
-    # u and the Jacobian's four entries; each block's sums are written
-    # through their float views (sector, point, output and re/im)
-    outs = [np.empty((sectors, rf.size, n), dtype=complex)
-            for n in ((2, 4) if with_gradient else (2,))]
-    for blk in _blocks(rf.size):
-        J = J_radii.take(at[blk], axis=2)
-        basis = J[:, None] * _cos_sin(_angle_table(L + 1, tp[blk]))
-        sums = (rows @ basis.reshape(rows.shape[1], -1)).reshape(
-            sectors, 2 * n_out, -1)
-        for out, part in zip(outs, (slice(0, 4), slice(4, 12))):
-            out.view(float)[:, blk] = sums[:, part].transpose(0, 2, 1)
-
-    u = _sectored(outs[0], shape)
+    u, *jac = _mode_sums(
+        sol, _displacement_modes,
+        lambda radii: np.stack([_j_table(sol.n_modes, cfg.k_p * radii),
+                                _j_table(sol.n_modes, cfg.k_s * radii)]),
+        rf, tf, (2, 4) if with_gradient else (2,), sectors)
+    u = _sectored(u, shape)
     if not with_gradient:
         return u
-    return u, _sectored(outs[1].reshape(outs[1].shape[:2] + (2, 2)), shape)
+    return u, _sectored(jac[0].reshape(jac[0].shape[:2] + (2, 2)), shape)
 
 
 def trace_mode_coefficients(sol: SeriesSolution) -> np.ndarray:

@@ -89,18 +89,19 @@ def _oracle_tables(mesh: Mesh, oracle, exact: analytic.SeriesSolution):
     only: row j's points are row 0's turned by 2 pi j / S, which the oracle
     reaches by a phase product on its mode axis (``sectors``).  Each sector
     is written into triangle order through its row.  A mesh with no table
-    is one sector.
+    is one sector.  Both oracles give their gradients in Cartesian form, so
+    both regions are treated alike.
     """
     table = (np.arange(mesh.num_triangles)[None] if mesh.rotations is None
              else mesh.rotations)
     sectors = len(table)
     pts = _quad_points(mesh, table[0])
     r = np.hypot(pts[..., 0], pts[..., 1])
-    th = np.arctan2(pts[..., 1], pts[..., 0])
     # boundary triangles are chords of the circles, so a few quadrature
     # points sit O(h^2) outside the exact regions: lift the domain guard
-    value, grad = oracle(exact, r, th, with_gradient=True,
-                         check_domain=False, sectors=sectors)
+    value, grad = oracle(exact, r, np.arctan2(pts[..., 1], pts[..., 0]),
+                         with_gradient=True, check_domain=False,
+                         sectors=sectors)
     lead = (sectors,) + r.shape
 
     def in_triangle_order(v):
@@ -110,21 +111,7 @@ def _oracle_tables(mesh: Mesh, oracle, exact: analytic.SeriesSolution):
         out[table] = v
         return out
 
-    if oracle is not analytic.eval_pressure:
-        return in_triangle_order(value), in_triangle_order(grad)
-    # polar -> Cartesian at each sector's angles, theta + 2 pi j / S
-    pr, pt = (g.reshape(lead) for g in grad)
-    cartesian = np.empty((mesh.num_triangles,) + r.shape[1:] + (2,),
-                         dtype=complex)
-    c, s = np.cos(th), np.sin(th)
-    for j, rows in enumerate(table):
-        turn = 2.0 * np.pi * j / sectors
-        cj = c * np.cos(turn) - s * np.sin(turn)
-        sj = s * np.cos(turn) + c * np.sin(turn)
-        pt_r = pt[j] / r
-        cartesian[rows, ..., 0] = cj * pr[j] - sj * pt_r
-        cartesian[rows, ..., 1] = sj * pr[j] + cj * pt_r
-    return in_triangle_order(value), cartesian
+    return in_triangle_order(value), in_triangle_order(grad)
 
 
 def _vertex_rows(mesh: Mesh, entries: np.ndarray) -> sp.csr_matrix:

@@ -73,8 +73,9 @@ def test_criterion_4_oracle_integrity():
         th = np.linspace(0.0, 2 * np.pi, 64, endpoint=False)
         r = np.full_like(th, cfg.R0)
         u, jac = analytic.eval_displacement(sol, r, th, with_gradient=True)
-        p, (pr, _) = analytic.eval_pressure(sol, r, th, with_gradient=True)
+        p, grad = analytic.eval_pressure(sol, r, th, with_gradient=True)
         nvec = np.stack([np.cos(th), np.sin(th)], axis=-1)
+        pr = np.einsum("pc,pc->p", grad, nvec)
         d = np.asarray(cfg.d)
         pinc = np.exp(1j * cfg.k * cfg.R0 * (nvec @ d))
         res_v = np.abs(cfg.rho_f * cfg.omega ** 2

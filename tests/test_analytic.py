@@ -14,8 +14,9 @@ def transmission_residuals(cfg, sol, n_points=64):
     th = np.linspace(0.0, 2 * np.pi, n_points, endpoint=False)
     r = np.full_like(th, cfg.R0)
     u, jac = analytic.eval_displacement(sol, r, th, with_gradient=True)
-    p, (pr, _) = analytic.eval_pressure(sol, r, th, with_gradient=True)
+    p, grad = analytic.eval_pressure(sol, r, th, with_gradient=True)
     nvec = np.stack([np.cos(th), np.sin(th)], axis=-1)
+    pr = np.einsum("pc,pc->p", grad, nvec)
     d = np.asarray(cfg.d)
     pinc = np.exp(1j * cfg.k * cfg.R0 * (nvec @ d))
     dpinc_dn = 1j * cfg.k * (nvec @ d) * pinc
@@ -166,7 +167,8 @@ def test_pressure_domain_guard(base_series):
 def test_sommerfeld_radiation(base_series):
     th = np.linspace(0.0, 2 * np.pi, 64, endpoint=False)
     r = np.full_like(th, 50.0)
-    p, (pr, _) = analytic.eval_pressure(base_series, r, th, with_gradient=True)
+    p, grad = analytic.eval_pressure(base_series, r, th, with_gradient=True)
+    pr = grad[:, 0] * np.cos(th) + grad[:, 1] * np.sin(th)
     residual = np.sqrt(50.0) * np.abs(pr - 1j * base_series.config.k * p)
     scale = np.sqrt(50.0) * np.abs(p).max()
     assert residual.max() < 1e-2 * scale
@@ -174,13 +176,17 @@ def test_sommerfeld_radiation(base_series):
 
 def test_pressure_gradient_finite_difference(base_series):
     r0, t0, step = 1.5, 0.7, 1e-6
-    _, (pr, pt) = analytic.eval_pressure(base_series, r0, t0, with_gradient=True)
-    fd_r = (analytic.eval_pressure(base_series, r0 + step, t0)
-            - analytic.eval_pressure(base_series, r0 - step, t0)) / (2 * step)
-    fd_t = (analytic.eval_pressure(base_series, r0, t0 + step)
-            - analytic.eval_pressure(base_series, r0, t0 - step)) / (2 * step)
-    assert abs(pr - fd_r) / abs(fd_r) < 1e-6
-    assert abs(pt - fd_t) / abs(fd_t) < 1e-6
+    x0, y0 = r0 * np.cos(t0), r0 * np.sin(t0)
+
+    def p_at(x, y):
+        return analytic.eval_pressure(base_series, np.hypot(x, y),
+                                      np.arctan2(y, x))
+
+    _, grad = analytic.eval_pressure(base_series, r0, t0, with_gradient=True)
+    fd_x = (p_at(x0 + step, y0) - p_at(x0 - step, y0)) / (2 * step)
+    fd_y = (p_at(x0, y0 + step) - p_at(x0, y0 - step)) / (2 * step)
+    assert abs(grad[0] - fd_x) / abs(fd_x) < 1e-6
+    assert abs(grad[1] - fd_y) / abs(fd_y) < 1e-6
 
 
 def test_helmholtz_residual_finite_difference(base_series):
@@ -188,16 +194,21 @@ def test_helmholtz_residual_finite_difference(base_series):
     rng = np.random.default_rng(5)
     step = 1e-4
 
-    def p_at(x, y):
+    def p_at(x, y, with_gradient=False):
         return analytic.eval_pressure(base_series, np.hypot(x, y),
-                                      np.arctan2(y, x))
+                                      np.arctan2(y, x), with_gradient)
 
+    # the Laplacian of p, and the divergence of the returned gradient
     for rr, tt in zip(rng.uniform(1.1, 1.9, 20), rng.uniform(0, 2 * np.pi, 20)):
         x, y = rr * np.cos(tt), rr * np.sin(tt)
         p0 = p_at(x, y)
         lap = (p_at(x + step, y) + p_at(x - step, y) + p_at(x, y + step)
                + p_at(x, y - step) - 4 * p0) / step ** 2
         assert abs(lap + k ** 2 * p0) / abs(p0) < 1e-6
+        div = (p_at(x + step, y, True)[1][0] - p_at(x - step, y, True)[1][0]
+               + p_at(x, y + step, True)[1][1]
+               - p_at(x, y - step, True)[1][1]) / (2 * step)
+        assert abs(div + k ** 2 * p0) / abs(p0) < 1e-6
 
 
 # ------------------------------------------------------------- displacement
@@ -524,9 +535,12 @@ def test_fast_oracle_matches_per_mode_reference(cfg):
     # more points than one evaluation block, so the block seams are covered
     th = rng.uniform(0.0, 2 * np.pi, 5000)
     r = np.sqrt(rng.uniform(1.0, 4.0, th.size))
-    p, (pr, pt) = analytic.eval_pressure(sol, r, th, with_gradient=True)
-    for got, ref in zip((p, pr, pt), _reference_pressure(sol, r, th)):
-        assert _relative_to_max(got, ref) <= 1e-12
+    p, grad = analytic.eval_pressure(sol, r, th, with_gradient=True)
+    p_ref, pr, pt = _reference_pressure(sol, r, th)
+    grad_ref = np.stack(_cartesian_first(pr, pt, r, np.cos(th), np.sin(th)),
+                        axis=-1)
+    assert _relative_to_max(p, p_ref) <= 1e-12
+    assert _relative_to_max(grad, grad_ref) <= 1e-12
 
     # the Cartesian Jacobian loses eps/r near the origin in either path
     r = np.sqrt(rng.uniform(0.01, 1.0, th.size))
@@ -579,7 +593,7 @@ OFF_AXIS = (float(np.cos(0.7)), float(np.sin(0.7)))
     PhysicalConfig(mu=0.05, d=OFF_AXIS)], ids=["k1", "k4", "soft_solid"])
 @pytest.mark.parametrize("sectors", [8, 16])
 def test_sectors_are_single_sector_calls_at_the_turned_points(cfg, sectors):
-    """Values, polar pressure gradients and Jacobians of every sector
+    """Values, pressure gradients and Jacobians of every sector
     within 1e-12 of their maximum, over more points than one block, the
     origin included."""
     sol = analytic.solve_modes(cfg)
@@ -589,25 +603,31 @@ def test_sectors_are_single_sector_calls_at_the_turned_points(cfg, sectors):
     r_f = np.sqrt(rng.uniform(1.0, 4.0, th.size))
     r_s = np.append(np.sqrt(rng.uniform(0.0, 1.0, th.size - 1)), 0.0)
 
-    p, (pr, pt) = analytic.eval_pressure(sol, r_f, th, with_gradient=True,
-                                         sectors=sectors)
-    p1, (pr1, pt1) = analytic.eval_pressure(sol, r_f, turned,
-                                            with_gradient=True)
+    p, grad = analytic.eval_pressure(sol, r_f, th, with_gradient=True,
+                                     sectors=sectors)
+    p1, grad1 = analytic.eval_pressure(sol, r_f, turned, with_gradient=True)
     u, jac = analytic.eval_displacement(sol, r_s, th, with_gradient=True,
                                         sectors=sectors)
     u1, jac1 = analytic.eval_displacement(sol, r_s, turned,
                                           with_gradient=True)
-    for got, ref in ((p, p1), (pr, pr1), (pt, pt1), (u, u1), (jac, jac1)):
+    for got, ref in ((p, p1), (grad, grad1), (u, u1), (jac, jac1)):
         assert got.shape == ref.shape
         assert _relative_to_max(got, ref) <= 1e-12
 
 
 def test_a_scalar_point_gains_only_the_sector_axis(base_series):
     p = analytic.eval_pressure(base_series, 1.5, 0.3, sectors=4)
+    _, grad = analytic.eval_pressure(base_series, 1.5, 0.3,
+                                     with_gradient=True, sectors=4)
     u, jac = analytic.eval_displacement(base_series, 0.5, 0.3,
                                         with_gradient=True, sectors=4)
-    assert (p.shape, u.shape, jac.shape) == ((4,), (4, 2), (4, 2, 2))
+    assert (p.shape, grad.shape, u.shape, jac.shape) == (
+        (4,), (4, 2), (4, 2), (4, 2, 2))
     one = analytic.eval_pressure(base_series, 1.5, 0.3)
+    one_p, one_grad = analytic.eval_pressure(base_series, 1.5, 0.3,
+                                             with_gradient=True)
+    assert type(one) is complex and type(one_p) is complex
+    assert one_grad.shape == (2,)
     assert abs(p[0] - one) <= 1e-14 * abs(one)
     with pytest.raises(ValueError):
         analytic.eval_pressure(base_series, 1.5, 0.3, sectors=0)

@@ -152,11 +152,9 @@ def test_error_norms_exact_for_linear_fields(base_series, mesh_pairs,
         p = (coeff_p[0] + coeff_p[1] * x + coeff_p[2] * y).astype(complex)
         if not with_gradient:
             return p
-        pr = (coeff_p[1] * np.cos(theta) + coeff_p[2] * np.sin(theta)
-              ).astype(complex)
-        pt = (r * (-coeff_p[1] * np.sin(theta) + coeff_p[2] * np.cos(theta))
-              ).astype(complex)
-        return p, (pr, pt)
+        grad = np.zeros(np.shape(x) + (2,), dtype=complex)
+        grad[..., 0], grad[..., 1] = coeff_p[1], coeff_p[2]
+        return p, grad
 
     monkeypatch.setattr(analytic, "eval_displacement", fake_displacement)
     monkeypatch.setattr(analytic, "eval_pressure", fake_pressure)
