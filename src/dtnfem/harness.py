@@ -36,9 +36,9 @@ __all__ = [
 
 CSV_HEADER = "h,N,k,dofs,err_h0,err_h1,seconds"
 
-# the default pair (R0=1, R=2, n_angular=16) at level 6, 176 * 4**6: peak RSS
-# of `dtnfem solve` (one BLAS thread) was 709 MB at level 5 and 2,976 MB at
-# level 6; level 7 would need about 12 GB (4.2x a level) on an 8 GB host
+# the default pair (R0=1, R=2, n_angular=16) at level 6: `dtnfem solve` (one
+# BLAS thread) peaks at about 370 MB at level 5 and 1.2 GB at level 6, in the
+# error reduction; level 7 (not run) extrapolates to 4-5 GB, on an 8 GB host
 MAX_TRIANGLES = _coarse_pair_triangles(1.0, 2.0, 16) * 4 ** 6
 MAX_LEVEL = 7  # implied: 24 triangles (n_angular 8) * 4**8 is over the cap
 
