@@ -13,7 +13,7 @@ from .assembly import (DofMap, FemSystem, SystemBlocks, assemble_blocks,
 from .solve import (FieldSolution, LowRankSweep, SingularSystemError,
                     evaluate_field, solve, solve_linear)
 from .analytic import (SeriesSolution, SingularModeError, eval_displacement,
-                       eval_pressure, modal_system, solve_modes,
+                       eval_pressure, modal_systems, solve_modes,
                        trace_mode_coefficients)
 from .harness import (ConvergenceResult, ErrorReport, StudyConfig,
                       TruncationResult, build_mesh_pair, convergence_study,

@@ -28,7 +28,7 @@ from .config import PhysicalConfig
 
 __all__ = [
     "SeriesSolution", "SingularModeError",
-    "modal_system", "solve_modes",
+    "modal_systems", "solve_modes",
     "eval_pressure", "eval_displacement", "trace_mode_coefficients",
 ]
 
@@ -40,54 +40,50 @@ class SingularModeError(RuntimeError):
     """A modal 3x3 system failed to solve accurately (resonant configuration)."""
 
 
-def _neumann_factor(n: int) -> float:
-    return 1.0 if n == 0 else 2.0
-
-
-def _j(n: int, x: float) -> float:
-    # reflection for the n-1 index at n = 0
-    return -special.bessel_j(-n, x) if n < 0 else special.bessel_j(n, x)
-
-
-def _h(n: int, x: float) -> complex:
-    return -special.hankel1(-n, x) if n < 0 else special.hankel1(n, x)
-
-
-def modal_system(n: int, config: PhysicalConfig):
-    """Interface-matching matrix E_n and right-hand side e_n for mode n.
-
-    Rows: normal velocity balance, zero tangential traction, normal traction
-    balance; unknowns (A_n, B_n, C_n).
-    """
-    if n < 0 or n != int(n):
-        raise ValueError("mode index must be a non-negative integer")
-    k, R0, mu = config.k, config.R0, config.mu
-    kp, ks = config.k_p, config.k_s
+def _modal_systems(config: PhysicalConfig, n_modes: int):
+    """``modal_systems``, and J_n(k_p R0) and J_n(k_s R0) of its modes."""
+    if n_modes != int(n_modes) or not 1 <= n_modes <= special.MAX_ORDER:
+        raise ValueError(f"mode count must be an integer in 1 .. "
+                         f"{special.MAX_ORDER}")
+    k, R0, mu, kp, ks = config.k, config.R0, config.mu, config.k_p, config.k_s
     rf_w2 = config.rho_f * config.omega ** 2
     x, xp, xs = k * R0, kp * R0, ks * R0
+    n, orders = np.arange(n_modes), np.arange(-1, n_modes)
+    with np.errstate(all="ignore"):   # high orders overflow by design
+        # orders n - 1 and n of each vector: scipy's J_{-1} is -J_1 exactly
+        j_x = _sp.jv(orders, x)
+        (h1, h), (jx1, jx), (jp1, jp), (js1, js) = (
+            (v[:-1], v[1:]) for v in (j_x + 1j * _sp.yv(orders, x), j_x,
+                                      _sp.jv(orders, xp), _sp.jv(orders, xs)))
+        # 2 mu (n^2 + n) / R0^2, and with mu k_s^2 R0^2 taken off first
+        q = 2 * mu * (n ** 2 + n) / R0 ** 2
+        q_s = (2 * mu * (n ** 2 + n) - mu * ks ** 2 * R0 ** 2) / R0 ** 2
+        E = np.zeros((n_modes, 3, 3), dtype=complex)
+        E[:, 0, 0] = -h1 + (n / x) * h
+        E[:, 0, 1] = (rf_w2 * kp / k) * (jp1 - (n / xp) * jp)
+        E[:, 0, 2] = (rf_w2 * n / x) * js
+        E[:, 1, 1] = (2 * mu * n * kp / R0) * jp1 - q * jp
+        E[:, 1, 2] = q_s * js - (2 * mu * ks / R0) * js1
+        E[:, 2, 0] = h
+        E[:, 2, 1] = q_s * jp - (2 * mu * kp / R0) * jp1
+        E[:, 2, 2] = (2 * mu * n * ks / R0) * js1 - q * js
+        # epsilon_n i^n by Python's power: numpy's differs from n = 100 on
+        eps_in = np.array([(2.0 if m else 1.0) * 1j ** m
+                           for m in range(n_modes)])
+        e = np.zeros((n_modes, 3), dtype=complex)
+        e[:, 0] = eps_in * (jx1 - (n / x) * jx)
+        e[:, 2] = -eps_in * jx
+    return E, e, jp, js
 
-    E = np.zeros((3, 3), dtype=complex)
-    E[0, 0] = -_h(n - 1, x) + (n / x) * _h(n, x)
-    E[0, 1] = (rf_w2 * kp / k) * (_j(n - 1, xp) - (n / xp) * _j(n, xp))
-    E[0, 2] = (rf_w2 * n / x) * _j(n, xs)
-    E[1, 0] = 0.0
-    E[1, 1] = (2 * mu * n * kp / R0) * _j(n - 1, xp) \
-        - (2 * mu * (n ** 2 + n) / R0 ** 2) * _j(n, xp)
-    E[1, 2] = ((2 * mu * (n ** 2 + n) - mu * ks ** 2 * R0 ** 2) / R0 ** 2) * _j(n, xs) \
-        - (2 * mu * ks / R0) * _j(n - 1, xs)
-    E[2, 0] = _h(n, x)
-    E[2, 1] = ((2 * mu * (n ** 2 + n) - mu * ks ** 2 * R0 ** 2) / R0 ** 2) * _j(n, xp) \
-        - (2 * mu * kp / R0) * _j(n - 1, xp)
-    E[2, 2] = (2 * mu * n * ks / R0) * _j(n - 1, xs) \
-        - (2 * mu * (n ** 2 + n) / R0 ** 2) * _j(n, xs)
 
-    eps_in = _neumann_factor(n) * 1j ** n
-    e = np.array([
-        eps_in * (_j(n - 1, x) - (n / x) * _j(n, x)),
-        0.0,
-        -eps_in * _j(n, x),
-    ], dtype=complex)
-    return E, e
+def modal_systems(config: PhysicalConfig, n_modes: int):
+    """Interface-matching matrices E_n (n_modes, 3, 3) and right-hand sides
+    e_n (n_modes, 3) of the modes n = 0..n_modes-1.  Rows: normal velocity
+    balance, zero tangential traction, normal traction balance; unknowns
+    (A_n, B_n, C_n).  Each of k R0, k_p R0 and k_s R0 takes one order vector
+    of scipy's J_n, and k R0 one of Y_n: a mode whose values overflow holds
+    non-finite entries, which :func:`solve_modes` refuses at that mode."""
+    return _modal_systems(config, n_modes)[:2]
 
 
 @dataclass(frozen=True)
@@ -127,23 +123,28 @@ def solve_modes(config: PhysicalConfig,
     with n, so a stop on the coefficients alone would never fire).  That is
     the only stop: a budget n_modes < MAX_ORDER is an upper bound, and the
     default, MAX_ORDER - 1, is a ValueError if it runs out first.  Raises
-    SingularModeError if a solve's normwise backward error, in max norms, is
-    above 1e-14, or if E_n with its columns and then its rows scaled to unit
-    largest entry has sigma_min/sigma_max below 1e-12 (a degenerate system).
+    SingularModeError if an entry of E_n or e_n is not finite (its Bessel
+    values overflowed), if a solve's normwise backward error, in max norms,
+    is above 1e-14, or if E_n with its columns and then its rows scaled to
+    unit largest entry has sigma_min/sigma_max below 1e-12 (a degenerate
+    system).
     """
     budget = special.MAX_ORDER - 1 if n_modes is None else int(n_modes)
     if not 1 <= budget < special.MAX_ORDER:
         raise ValueError(f"mode budget {budget} outside 1 .. "
                          f"{special.MAX_ORDER - 1}, the order cap")
 
-    xp, xs = config.k_p * config.R0, config.k_s * config.R0
+    systems, rhs, jp, js = _modal_systems(config, budget)
     A, B, C = [], [], []
     largest = 0.0
     for n in range(budget):
+        E, e = systems[n], rhs[n]
         # an entry of E_n or of the residual that overflows is a failed mode
         try:
+            if not (np.all(np.isfinite(E)) and np.all(np.isfinite(e))):
+                raise FloatingPointError("E_n or e_n overflowed the "
+                                         "floating-point range")
             with np.errstate(over="raise", divide="raise", invalid="raise"):
-                E, e = modal_system(n, config)
                 X = np.linalg.solve(E, e)
                 backward = np.abs(E @ X - e).max() / (
                     np.abs(E).sum(1).max() * np.abs(X).max() + np.abs(e).max())
@@ -152,8 +153,8 @@ def solve_modes(config: PhysicalConfig,
                 sigma = np.linalg.svd(scaled, compute_uv=False)
                 # the field term of the docstring; E[2, 0] is H_n(k R0)
                 term = (n + 1) ** 2 * max(abs(X[0] * E[2, 0]),
-                                          abs(X[1] * _j(n, xp)),
-                                          abs(X[2] * _j(n, xs)))
+                                          abs(X[1] * jp[n]),
+                                          abs(X[2] * js[n]))
         except (np.linalg.LinAlgError, FloatingPointError) as exc:
             raise SingularModeError(f"mode {n}: {exc}") from exc
         if backward > 1e-14 or sigma[-1] < 1e-12 * sigma[0]:
@@ -187,11 +188,6 @@ def _broadcast(r, theta):
     shape = np.broadcast_shapes(r.shape, theta.shape)
     return (np.broadcast_to(r, shape).ravel(),
             np.broadcast_to(theta, shape).ravel(), shape)
-
-
-def _blocks(size: int):
-    for start in range(0, size, _BLOCK):
-        yield slice(start, start + _BLOCK)
 
 
 def _sector_phases(M: int, sectors: int):
@@ -404,7 +400,7 @@ def _mode_sums(sol: SeriesSolution, build, radial, rf, tf, groups: tuple,
     tables = radial(radii)
     outs = [np.empty((sectors, rf.size, n), dtype=complex) for n in groups]
     parts = (slice(0, 2 * groups[0]), slice(2 * groups[0], 2 * n_out))
-    for blk in _blocks(rf.size):
+    for blk in (slice(i, i + _BLOCK) for i in range(0, rf.size, _BLOCK)):
         Z = tables.take(at[blk], axis=2)
         basis = Z[:, None] * _re_im(_angle_table(Z.shape[1], tp[blk]))
         sums = (rows @ basis.reshape(rows.shape[1], -1)).reshape(
@@ -473,14 +469,10 @@ def trace_mode_coefficients(sol: SeriesSolution) -> np.ndarray:
     and c_{+-n} = A_n H_n(kR)/2; suitable input for the mode-space operator
     checks in :mod:`dtnfem.dtn`.
     """
-    cfg = sol.config
-    M = sol.n_modes - 1
-    c = np.zeros(2 * M + 1, dtype=complex)
-    for n in range(M + 1):
-        val = sol.pressure_coeffs[n] * special.hankel1(n, cfg.k * cfg.R)
-        if n == 0:
-            c[M] = val
-        else:
-            c[M + n] = 0.5 * val
-            c[M - n] = 0.5 * val
-    return c
+    a, x = sol.pressure_coeffs, sol.config.k * sol.config.R
+    j, y = _sp.jv(np.arange(len(a)), x), _sp.yv(np.arange(len(a)), x)
+    # A_n H_n(kR) in real arithmetic: numpy's complex array product may fuse
+    # its multiply-adds, a product of two complex scalars does not
+    val = np.empty_like(a)
+    val.real, val.imag = a.real * j - a.imag * y, a.real * y + a.imag * j
+    return np.concatenate([0.5 * val[:0:-1], val[:1], 0.5 * val[1:]])

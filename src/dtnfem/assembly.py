@@ -124,7 +124,11 @@ def assemble_elastic(mesh: Mesh, lam: float, mu: float, rho: float,
                      omega: float) -> sp.csr_matrix:
     """lam div.div + 2 mu eps:eps - rho omega^2 mass over the solid disc; a
     node pair's 2x2 block (1, 0) is (0, 1) of its transpose, bitwise."""
-    p = _P1Map(mesh)
+    return _elastic(_P1Map(mesh), lam, mu, rho, omega)
+
+
+def _elastic(p: _P1Map, lam, mu, rho, omega) -> sp.csr_matrix:
+    """``assemble_elastic`` on the disc's scatter map."""
     tr = np.empty_like(p.indices)   # slot (i, j) -> slot (j, i)
     tr[p.entries] = p.entries.transpose(0, 2, 1)
     mass = rho * omega ** 2 * p.mass
@@ -133,7 +137,7 @@ def assemble_elastic(mesh: Mesh, lam: float, mu: float, rho: float,
     v[:, 1, 1] = (lam + 2 * mu) * p.k_yy + mu * p.k_xx - mass
     v[:, 0, 1] = lam * p.k_xy + mu * p.k_xy[tr]
     v[:, 1, 0] = v[tr, 0, 1]
-    n = 2 * mesh.num_nodes
+    n = 2 * (len(p.indptr) - 1)
     return sp.bsr_matrix((v, p.indices, p.indptr), shape=(n, n)).tocsr()
 
 
@@ -264,10 +268,11 @@ class SystemBlocks:
     reusable across truncation orders.
 
     ``config`` is the physics the blocks were assembled with; its N is not
-    used.  ``matrix0`` is A0 = [[A1, C4], [C3, A2]]; A1 and A2 keep the
-    patterns of the meshes' scatter maps, exact zeros included, and A2's
-    holds the dense GAMMA_R block, explicitly zero where no triangle reaches:
-    ``dtn_slots`` are the row-major positions of that block in A0's data.
+    used.  ``matrix0`` is A0 = [[A1, C4], [C3, A2]]; A1 and A2 are summed on
+    ``maps``, the disc's and the annulus's scatter maps, and keep their
+    patterns, exact zeros included; A2's holds the dense GAMMA_R block,
+    explicitly zero where no triangle reaches: ``dtn_slots`` are the
+    row-major positions of that block in A0's data.
     ``sectors`` is the sector table every factorization of the pair's
     systems works in, or None for one sector.  ``dtn`` is the DtN series
     of ``trace_r``, k and R that every order of the pair takes its B_N and
@@ -283,6 +288,7 @@ class SystemBlocks:
     load: np.ndarray
     dof_map: DofMap
     trace_r: BoundaryTrace
+    maps: tuple
     sectors: Sectors | None
     dtn: dtn_ops.DtnSeries
 
@@ -305,8 +311,8 @@ def assemble_blocks(disc_mesh: Mesh, annulus_mesh: Mesh,
                                config.omega, dof_map)
     load = assemble_load(disc_mesh, annulus_mesh, config, dof_map)
     trace_r = boundary_trace(annulus_mesh, GAMMA_R)
-    a1 = assemble_elastic(disc_mesh, config.lam, config.mu, config.rho,
-                          config.omega)
+    disc = _P1Map(disc_mesh)
+    a1 = _elastic(disc, config.lam, config.mu, config.rho, config.omega)
     ring = _P1Map(annulus_mesh, trace_r.node_indices)
     a2 = ring.csr(ring.k_xx + ring.k_yy - config.k ** 2 * ring.mass)
     # A0 by rows: A1's entries then C4's, or C3's then A2's
@@ -328,6 +334,7 @@ def assemble_blocks(disc_mesh: Mesh, annulus_mesh: Mesh,
     return SystemBlocks(disc_mesh=disc_mesh, annulus_mesh=annulus_mesh,
                         config=config, matrix0=matrix0, dtn_slots=dtn_slots,
                         load=load, dof_map=dof_map, trace_r=trace_r,
+                        maps=(disc, ring),
                         sectors=_sectors((disc_mesh, annulus_mesh), dof_map,
                                          config.rho_f * config.omega ** 2),
                         dtn=dtn_ops.DtnSeries(trace_r, config.k, config.R))

@@ -19,8 +19,7 @@ import scipy.sparse as sp
 
 from . import analytic, special
 from . import dtn as dtn_ops
-from .assembly import (_P1Map, _p1_geometry, assemble_blocks,
-                       assemble_system)
+from .assembly import _p1_geometry, assemble_blocks, assemble_system
 from .config import PhysicalConfig
 from .mesh import (Mesh, _coarse_pair_triangles, build_annulus_mesh,
                    build_disc_mesh, mesh_size, refine, triangle_areas)
@@ -212,7 +211,8 @@ class _SweepErrors:
     (w the rule's weights times the areas; the gradient map in place of I
     for the gradient part of err_h1) and G = W^T M W, plus W^T K W for
     err_h1 (M and K the P1 mass and stiffness matrices per displacement
-    component and region: the rule integrates P1 products exactly).  W is
+    component and region, read from the blocks' scatter ``maps``
+    (``SystemBlocks.maps``): the rule integrates P1 products exactly).  W is
     real, so delta^H G delta = Re(delta)^T G Re(delta) + Im(delta)^T G
     Im(delta).  A row then costs O((2N+1)^2) instead of a pass over every
     quadrature point, and the largest order's row (delta = 0) is the
@@ -224,7 +224,8 @@ class _SweepErrors:
     reference reduction.
     """
 
-    def __init__(self, quad: _ExactQuadrature, sweep: LowRankSweep | None):
+    def __init__(self, quad: _ExactQuadrature, sweep: LowRankSweep | None,
+                 maps: tuple):
         self._kept = {}   # until c* is formed, every row takes the reference
         c_star = None if sweep is None else sweep.coefficients(sweep.order)
         if c_star is None:
@@ -269,8 +270,7 @@ class _SweepErrors:
         parts = np.stack([back.real, back.imag], axis=1).reshape(4, -1)
         self._h = (w.T @ parts.T).T.reshape(2, 2, r)  # [norm, re/im, column]
         self._gram = np.zeros((2, r, r))
-        for (mesh, *_), (rows, n_comp) in zip(quad._regions, layout):
-            p1 = _P1Map(mesh)
+        for p1, (rows, n_comp) in zip(maps, layout):
             mass, stiff = p1.csr(p1.mass), p1.csr(p1.k_xx + p1.k_yy)
             for comp in range(n_comp):
                 wc = np.ascontiguousarray(w[rows][comp::n_comp])
@@ -497,7 +497,7 @@ def truncation_study(cfg: StudyConfig) -> TruncationResult:
             # oracle tables and the coefficient form before the first row:
             # no order pays for them
             quad = _ExactQuadrature(disc, annulus, exact)
-            swept = _SweepErrors(quad, sweep)
+            swept = _SweepErrors(quad, sweep, blocks.maps)
             curve = []
             for N in cfg.n_values:
                 t0 = time.perf_counter()

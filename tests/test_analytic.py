@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import special as sp
 
-from dtnfem import PhysicalConfig, analytic, harness, special
+from dtnfem import PhysicalConfig, analytic, cli, harness, special
 
 mp.mp.dps = 50
 
@@ -33,14 +33,14 @@ def transmission_residuals(cfg, sol, n_points=64):
 # ------------------------------------------------------------- modal system
 
 def test_fluid_shear_row_entry_vanishes(base_config):
+    E, _ = analytic.modal_systems(base_config, 12)
     for n in range(12):
-        E, _ = analytic.modal_system(n, base_config)
-        assert E[1, 0] == 0.0
+        assert E[n, 1, 0] == 0.0
 
 
 def test_mode_zero_has_no_shear_coupling_in_row_one(base_config):
-    E, _ = analytic.modal_system(0, base_config)
-    assert E[0, 2] == 0.0
+    E, _ = analytic.modal_systems(base_config, 1)
+    assert E[0, 0, 2] == 0.0
 
 
 def test_modal_system_against_extended_precision(base_config):
@@ -55,6 +55,7 @@ def test_modal_system_against_extended_precision(base_config):
     def H(n, z):
         return mp.besselj(n, z) + 1j * mp.bessely(n, z)
 
+    systems, rhs = analytic.modal_systems(base_config, 5)
     for n in (0, 1, 4):
         E = np.zeros((3, 3), dtype=complex)
         E[0, 0] = complex(-H(n - 1, x) + (n / x) * H(n, x))
@@ -80,15 +81,16 @@ def test_modal_system_against_extended_precision(base_config):
             0.0,
             complex(-eps_in * mp.besselj(n, x))])
 
-        E_got, e_got = analytic.modal_system(n, base_config)
+        E_got, e_got = systems[n], rhs[n]
         assert np.max(np.abs(E_got - E)) < 1e-13 * max(1.0, np.max(np.abs(E)))
         assert np.max(np.abs(e_got - e)) < 1e-13
 
 
 def test_modal_residual_invariant(base_config, base_series):
     sol = base_series
+    systems, rhs = analytic.modal_systems(base_config, sol.n_modes)
     for n in range(sol.n_modes):
-        E, e = analytic.modal_system(n, base_config)
+        E, e = systems[n], rhs[n]
         X = np.array([sol.pressure_coeffs[n], sol.comp_coeffs[n],
                       sol.shear_coeffs[n]])
         assert np.linalg.norm(E @ X - e) <= 1e-12 * np.linalg.norm(e)
@@ -474,8 +476,9 @@ def _field_terms(cfg, n_max):
     """(n+1)^2 max(|A_n H_n(k R0)|, |B_n J_n(k_p R0)|, |C_n J_n(k_s R0)|)
     for n = 0..n_max-1, from the modal systems and scipy's order tables."""
     terms = []
+    systems, rhs = analytic.modal_systems(cfg, n_max)
     for n in range(n_max):
-        X = np.linalg.solve(*analytic.modal_system(n, cfg))
+        X = np.linalg.solve(systems[n], rhs[n])
         terms.append((n + 1) ** 2 * max(
             abs(X[0] * sp.hankel1(n, cfg.k * cfg.R0)),
             abs(X[1] * sp.jv(n, cfg.k_p * cfg.R0)),
@@ -631,3 +634,120 @@ def test_a_scalar_point_gains_only_the_sector_axis(base_series):
     assert abs(p[0] - one) <= 1e-14 * abs(one)
     with pytest.raises(ValueError):
         analytic.eval_pressure(base_series, 1.5, 0.3, sectors=0)
+
+
+# ------------------------------------------- modal systems from order vectors
+#
+# The modal systems take every Bessel value from one scipy order vector per
+# argument.  The reference below is the per-mode form they replaced: about
+# twenty scalar calls through the checked wrappers of ``special`` per mode.
+
+def _reference_modal_system(n, config):
+    """E_n and e_n of mode n from the scalar wrappers of ``special``."""
+    def j(m, x):   # reflection for the n-1 index at n = 0
+        return -special.bessel_j(-m, x) if m < 0 else special.bessel_j(m, x)
+
+    def h(m, x):
+        return -special.hankel1(-m, x) if m < 0 else special.hankel1(m, x)
+
+    k, R0, mu = config.k, config.R0, config.mu
+    kp, ks = config.k_p, config.k_s
+    rf_w2 = config.rho_f * config.omega ** 2
+    x, xp, xs = k * R0, kp * R0, ks * R0
+
+    E = np.zeros((3, 3), dtype=complex)
+    E[0, 0] = -h(n - 1, x) + (n / x) * h(n, x)
+    E[0, 1] = (rf_w2 * kp / k) * (j(n - 1, xp) - (n / xp) * j(n, xp))
+    E[0, 2] = (rf_w2 * n / x) * j(n, xs)
+    E[1, 0] = 0.0
+    E[1, 1] = (2 * mu * n * kp / R0) * j(n - 1, xp) \
+        - (2 * mu * (n ** 2 + n) / R0 ** 2) * j(n, xp)
+    E[1, 2] = ((2 * mu * (n ** 2 + n) - mu * ks ** 2 * R0 ** 2) / R0 ** 2) \
+        * j(n, xs) - (2 * mu * ks / R0) * j(n - 1, xs)
+    E[2, 0] = h(n, x)
+    E[2, 1] = ((2 * mu * (n ** 2 + n) - mu * ks ** 2 * R0 ** 2) / R0 ** 2) \
+        * j(n, xp) - (2 * mu * kp / R0) * j(n - 1, xp)
+    E[2, 2] = (2 * mu * n * ks / R0) * j(n - 1, xs) \
+        - (2 * mu * (n ** 2 + n) / R0 ** 2) * j(n, xs)
+
+    eps_in = (1.0 if n == 0 else 2.0) * 1j ** n
+    e = np.array([eps_in * (j(n - 1, x) - (n / x) * j(n, x)), 0.0,
+                  -eps_in * j(n, x)], dtype=complex)
+    return E, e
+
+
+def _reference_trace(sol):
+    cfg, M = sol.config, sol.n_modes - 1
+    c = np.zeros(2 * M + 1, dtype=complex)
+    for n in range(M + 1):
+        val = sol.pressure_coeffs[n] * special.hankel1(n, cfg.k * cfg.R)
+        if n == 0:
+            c[M] = val
+        else:
+            c[M + n] = c[M - n] = 0.5 * val
+    return c
+
+
+def _same_bits(got, ref):
+    got, ref = np.asarray(got, dtype=complex), np.asarray(ref, dtype=complex)
+    return got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("cfg", [PhysicalConfig(k=k) for k in (
+    1.0, 2.0, 4.0, 16.0, 43.0)] + [SOFT_SOLID],
+    ids=["k1", "k2", "k4", "k16", "k43", "soft_solid"])
+def test_modal_systems_equal_the_per_mode_reference_bitwise(cfg):
+    """E_n and e_n of every kept mode and the first dropped one, the
+    coefficients and the trace, bitwise."""
+    sol = analytic.solve_modes(cfg)
+    systems, rhs = analytic.modal_systems(cfg, sol.n_modes + 1)
+    assert systems.shape == (sol.n_modes + 1, 3, 3)
+    assert rhs.shape == (sol.n_modes + 1, 3)
+    for n in range(sol.n_modes + 1):
+        E, e = _reference_modal_system(n, cfg)
+        assert _same_bits(systems[n], E) and _same_bits(rhs[n], e), n
+        if n < sol.n_modes:
+            assert _same_bits([sol.pressure_coeffs[n], sol.comp_coeffs[n],
+                               sol.shear_coeffs[n]], np.linalg.solve(E, e))
+    assert _same_bits(analytic.trace_mode_coefficients(sol),
+                      _reference_trace(sol))
+
+
+def test_modal_systems_refuse_a_mode_count_outside_the_order_cap():
+    for n_modes in (0, special.MAX_ORDER + 1, 2.5):
+        with pytest.raises(ValueError):
+            analytic.modal_systems(PhysicalConfig(), n_modes)
+
+
+def test_the_modes_make_no_scalar_bessel_call(monkeypatch):
+    calls = []
+    for name in ("bessel_j", "bessel_y", "hankel1"):
+        def spy(*args, _original=getattr(special, name), _name=name):
+            calls.append(_name)
+            return _original(*args)
+        monkeypatch.setattr(special, name, spy)
+    sol = analytic.solve_modes(PhysicalConfig(k=4.0))
+    analytic.trace_mode_coefficients(sol)
+    assert calls == []
+
+
+def test_a_mode_whose_bessel_values_overflow_fails_at_that_mode(
+        monkeypatch, capsys):
+    """Y_n is inf from order 5 on: mode 5 is the first whose E_n holds it
+    (H_{n-1} and H_n), so modes 0..4 solve and mode 5 is refused; the CLI
+    reports a numerical failure."""
+    first, yv = 5, sp.yv
+
+    def overflowing(n, x):
+        return np.where(np.asarray(n) >= first, np.inf, yv(n, x))
+
+    monkeypatch.setattr(sp, "yv", overflowing)
+    assert analytic.solve_modes(PhysicalConfig(), n_modes=first).n_modes \
+        == first
+    with pytest.raises(analytic.SingularModeError,
+                       match=f"^mode {first}: E_n or e_n overflowed"):
+        analytic.solve_modes(PhysicalConfig())
+    assert cli.main(["oracle", "--point", "1.5", "0"]) == 2
+    err = capsys.readouterr().err
+    assert f"numerical failure: mode {first}: " in err
+    assert "Traceback" not in err

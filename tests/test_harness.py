@@ -10,7 +10,8 @@ import pytest
 from numpy.polynomial.legendre import leggauss
 
 import dtnfem
-from dtnfem import PhysicalConfig, StudyConfig, analytic, harness, special
+from dtnfem import (PhysicalConfig, StudyConfig, analytic, assembly, harness,
+                    special)
 from dtnfem.assembly import SystemBlocks
 from dtnfem.mesh import _coarse_pair_triangles, triangle_areas
 from dtnfem.solve import FieldSolution, LowRankSweep
@@ -440,6 +441,21 @@ def test_coefficient_setup_runs_once_per_curve_before_its_first_assembly(
     harness.truncation_study(StudyConfig(k_values=(1.0, 2.0), levels=(1, 2),
                                          n_values=(1, 2, 3, 4)))
     assert events == (["setup"] + ["row"] * 4) * 4
+
+
+def test_each_scatter_map_is_built_once_per_curve(monkeypatch):
+    """The blocks' disc map and annulus map (with the GAMMA_R block) are the
+    only scatter maps of a curve: its swept errors read M and K from them."""
+    built, build = [], assembly._P1Map.__init__
+    monkeypatch.setattr(assembly._P1Map, "__init__", lambda self, *args: (
+        built.append(args) or build(self, *args)))
+    swept = []
+    errors = harness._SweepErrors.errors
+    monkeypatch.setattr(harness._SweepErrors, "errors", lambda self, N: (
+        swept.append(errors(self, N)) or swept[-1]))
+    harness.truncation_study(StudyConfig(levels=(1, 2), n_values=(1, 2, 3)))
+    assert len(built) == 4
+    assert len(swept) == 6 and None not in swept
 
 
 def test_non_ascending_orders_give_the_ascending_rows(truncation_result):

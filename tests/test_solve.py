@@ -488,7 +488,8 @@ def test_sweep_solves_no_system_per_order_and_keeps_matrix0(
         mesh_pairs, monkeypatch, level, k):
     """Once the sweep is built, orders 1..20 call no solve of its factor and
     take no fallback, and A0 is left bitwise as it was: the real factor is
-    built from a copy, not from the ``real`` view that shares its data."""
+    built from ``matrix0.real``, a view that shares A0's data, and nothing
+    writes through it."""
     disc, ann = mesh_pairs[level]
     blocks = assembly.assemble_blocks(disc, ann, PhysicalConfig(k=k))
     a0 = blocks.matrix0
