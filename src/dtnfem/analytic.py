@@ -299,6 +299,14 @@ def _j_table(M: int, x: np.ndarray) -> np.ndarray:
     return J
 
 
+def _j_tables(M: int, x: np.ndarray) -> np.ndarray:
+    """``_j_table`` of each half of x, contiguous (2, M+2, len(x) / 2), from
+    one recurrence over all of x: every step is elementwise, so each half is
+    its own call's table bitwise."""
+    return np.ascontiguousarray(
+        _j_table(M, x).reshape(M + 2, 2, -1).transpose(1, 0, 2))
+
+
 def _exponential(cos_c, sin_c, L: int) -> np.ndarray:
     """e_m, m = -L..L at index m + L, such that sum_m e_m J_m e^{imt} is
     sum_n J_n (cos_c[n] cos(nt) + sin_c[n] sin(nt)), by J_{-n} = (-1)^n J_n.
@@ -452,9 +460,8 @@ def eval_displacement(sol: SeriesSolution, r, theta,
         raise ValueError("displacement series evaluated outside the solid")
 
     u, *jac = _mode_sums(
-        sol, _displacement_modes,
-        lambda radii: np.stack([_j_table(sol.n_modes, cfg.k_p * radii),
-                                _j_table(sol.n_modes, cfg.k_s * radii)]),
+        sol, _displacement_modes, lambda radii: _j_tables(
+            sol.n_modes, np.concatenate([cfg.k_p * radii, cfg.k_s * radii])),
         rf, tf, (2, 4) if with_gradient else (2,), sectors)
     u = _sectored(u, shape)
     if not with_gradient:

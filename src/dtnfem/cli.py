@@ -39,8 +39,8 @@ _CONFIG_KEYS = {
 }
 
 
-# The field grid costs 50-60 us a point at the default level 2 and about
-# 0.3 ms at level 4 (README): the largest grid takes about 15 s and 85 s.
+# The field grid costs 34-37 us a point at levels 0-2 and 53-57 us at level
+# 4 (README): the largest grid takes about 9 s and 14 s.
 MAX_GRID_POINTS = 250_000
 
 

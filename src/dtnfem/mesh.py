@@ -41,7 +41,9 @@ class Mesh:
     rotations : (S, T/S) int array, or None for a mesh with no known
         symmetry: row j lists the triangles that are row 0's turned by
         2 pi j / S about the origin, in the same order and with the same
-        local vertex order
+        local vertex order.  Row j covers the wedge of angles
+        [2 pi j / S, 2 pi (j+1) / S]: ``_polar_mesh`` builds it so and
+        ``refine`` keeps it
     """
 
     nodes: np.ndarray

@@ -27,6 +27,7 @@ can work on x_N = y + W c_N in coefficient space (``harness._SweepErrors``).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -285,34 +286,68 @@ def solve(system: FemSystem, sweep: LowRankSweep | None = None
 
 
 class _Locator:
-    """Point location by one vectorised barycentric test of every triangle,
-    from each triangle's origin node and the constant gradients of lambda_1
-    and lambda_2 (``assembly._p1_geometry``)."""
+    """Point location by a vectorised barycentric test, from each triangle's
+    origin node and the constant gradients of lambda_1 and lambda_2
+    (``assembly._p1_geometry``), laid out (6, S, T/S) by the mesh's rotation
+    table (one row without one).  A point is tested first against the row of
+    its angle's wedge (``Mesh.rotations``), and that answer stands only if
+    every barycentric exceeds ``_margin``; any other point takes the test of
+    every triangle.  Each triangle's arithmetic is the same in both, so only
+    the speed depends on the layout."""
 
     def __init__(self, mesh: Mesh):
         self.mesh = mesh
-        g, _ = _p1_geometry(mesh)
-        x0 = mesh.nodes[mesh.triangles[:, 0]]
-        self._x0, self._y0 = x0[:, 0].copy(), x0[:, 1].copy()
-        self._g1x, self._g1y = g[:, 1, 0].copy(), g[:, 1, 1].copy()
-        self._g2x, self._g2y = g[:, 2, 0].copy(), g[:, 2, 1].copy()
+        g, area = _p1_geometry(mesh)
+        self._order = np.ascontiguousarray(
+            np.arange(mesh.num_triangles)[None] if mesh.rotations is None
+            else mesh.rotations)
+        at = self._order.ravel()
+        geom = np.empty((6, at.size))
+        geom[:2] = np.take(mesh.nodes, mesh.triangles[at, 0], axis=0).T
+        geom[2:] = np.take(g[:, 1:].reshape(-1, 4), at, axis=0).T
+        self._geom = geom.reshape((6,) + self._order.shape)
+        self._wedge = 2.0 * np.pi / len(self._order)
+        # Barycentrics in t all above m put the point m H from t's edges, H
+        # the smallest height, 1 / G for G the largest |grad lambda|.  A
+        # triangle accepting it within LOCATE_TOL has a point within
+        # 2 LOCATE_TOL D of it, D the largest diameter, outside t's interior.
+        # Edge a is 2 area |grad lambda_a| long, so m = 3 LOCATE_TOL
+        # 2 max(area) G^2 > 2 LOCATE_TOL D / H leaves t the only triangle
+        # holding the point; the 3 covers the barycentrics' rounding.
+        self._margin = 6.0 * LOCATE_TOL * np.max(area) * np.max(
+            g[..., 0] ** 2 + g[..., 1] ** 2)
+
+    @staticmethod
+    def _barycentrics(geom, x, y):
+        x0, y0, g1x, g1y, g2x, g2y = geom
+        dx, dy = x - x0, y - y0
+        lam1 = g1x * dx + g1y * dy
+        lam2 = g2x * dx + g2y * dy
+        return 1.0 - lam1 - lam2, lam1, lam2
 
     def locate(self, point):
         """Lowest-index triangle holding the point, and its barycentrics."""
         x, y = (float(c) for c in point)
         if not (np.isfinite(x) and np.isfinite(y)):
             raise ValueError(f"point {tuple(point)} is not finite")
-        dx, dy = x - self._x0, y - self._y0
-        lam1 = self._g1x * dx + self._g1y * dy
-        lam2 = self._g2x * dx + self._g2y * dy
-        lam0 = 1.0 - lam1 - lam2
-        inside = ((lam0 >= -LOCATE_TOL) & (lam1 >= -LOCATE_TOL)
-                  & (lam2 >= -LOCATE_TOL))
-        t = int(np.argmax(inside))
-        if not inside[t]:
-            raise ValueError(f"point {tuple(point)} lies outside the mesh")
-        lam = np.clip([lam0[t], lam1[t], lam2[t]], 0.0, None)
-        return t, lam / np.sum(lam)
+        j = math.floor(math.atan2(y, x) / self._wedge) % len(self._order)
+        lam = self._barycentrics(self._geom[:, j], x, y)
+        low = np.minimum(np.minimum(lam[0], lam[1]), lam[2])
+        i = int(np.argmax(low))
+        if low[i] > self._margin:
+            t = self._order[j, i]
+        else:
+            lam = self._barycentrics(self._geom.reshape(6, -1), x, y)
+            inside = np.flatnonzero((lam[0] >= -LOCATE_TOL)
+                                    & (lam[1] >= -LOCATE_TOL)
+                                    & (lam[2] >= -LOCATE_TOL))
+            if not inside.size:
+                raise ValueError(f"point {tuple(point)} lies outside the mesh")
+            order = self._order.ravel()
+            i = inside[np.argmin(order[inside])]
+            t = order[i]
+        lam = np.clip([lam[0][i], lam[1][i], lam[2][i]], 0.0, None)
+        return int(t), lam / np.sum(lam)
 
 
 def evaluate_field(sol: FieldSolution, point, which: str):
@@ -324,5 +359,5 @@ def evaluate_field(sol: FieldSolution, point, which: str):
     else:
         raise ValueError("which must be 'u' or 'p'")
     t, lam = locator.locate(point)
-    out = np.tensordot(lam, values[locator.mesh.triangles[t]], axes=(0, 0))
+    out = lam @ values[locator.mesh.triangles[t]]
     return out if which == "u" else complex(out)

@@ -459,6 +459,36 @@ def test_radial_tables_on_distinct_radii_are_the_per_point_tables(
                 table(M, kappa * radii).take(at, axis=1), table(M, kappa * r))
 
 
+@pytest.mark.parametrize("cfg", [PhysicalConfig(), SOFT_SOLID],
+                         ids=["default", "soft_solid"])
+def test_one_j_table_for_both_wave_numbers_is_two_calls_bitwise(
+        cfg, mesh_pairs):
+    """The displacement takes J_n(k_p r) and J_n(k_s r) from one
+    ``_j_table`` call over both arguments (``_j_tables``).  Every step of
+    the table is per column, so it is bitwise the stack of two calls: at a
+    scalar radius, at the level-3 quadrature radii and at r = 0, which takes
+    the tiny-seed fallback.  Scalar calls still match one batched call
+    within 1e-12 of its maximum, the benchmark's oracle bound."""
+    sol = analytic.solve_modes(cfg)
+    M = sol.n_modes
+    pts = harness._quad_points(mesh_pairs[3][0])
+    quad = np.unique(np.hypot(pts[..., 0], pts[..., 1]))
+    for r in ([0.37], quad, [0.0], np.append(quad, 0.0)):
+        xp, xs = cfg.k_p * np.asarray(r), cfg.k_s * np.asarray(r)
+        one = analytic._j_tables(M, np.concatenate([xp, xs]))
+        two = np.stack([analytic._j_table(M, xp), analytic._j_table(M, xs)])
+        assert one.flags.c_contiguous and one.shape == two.shape
+        assert one.tobytes() == two.tobytes()
+    rng = np.random.default_rng(7)
+    r = np.append(np.sqrt(rng.uniform(0.0, cfg.R0 ** 2, 40)), 0.0)
+    th = rng.uniform(0.0, 2 * np.pi, r.size)
+    u = analytic.eval_displacement(sol, r, th, with_gradient=True)
+    u_one = [analytic.eval_displacement(sol, a, b, with_gradient=True)
+             for a, b in zip(r, th)]
+    for batched, scalar in zip(u, zip(*u_one)):
+        assert _relative_to_max(np.array(scalar), batched) <= 1e-12
+
+
 def test_angle_table_matches_cos_and_sin():
     """e^{int} by angle addition against np.cos/np.sin of outer(n, t), up to
     the order cap, over the t - alpha range of the oracle.  Measured: 1.6e-14

@@ -445,7 +445,8 @@ def test_coefficient_setup_runs_once_per_curve_before_its_first_assembly(
 
 def test_each_scatter_map_is_built_once_per_curve(monkeypatch):
     """The blocks' disc map and annulus map (with the GAMMA_R block) are the
-    only scatter maps of a curve: its swept errors read M and K from them."""
+    only scatter maps of a curve: its swept errors read M and K from the
+    blocks' ``p1_forms``, summed on them."""
     built, build = [], assembly._P1Map.__init__
     monkeypatch.setattr(assembly._P1Map, "__init__", lambda self, *args: (
         built.append(args) or build(self, *args)))

@@ -361,7 +361,9 @@ def test_rotation_table_rows_are_row_zero_turned(n_angular, region):
     """Row j of the table lists row 0's triangles turned by 2 pi j / S, in
     the same order and local vertex order: their quadrature points are row
     0's rotated, within 1e-14 R, at levels 0-4.  Every triangle is in
-    exactly one row, and refine carries the table child by child."""
+    exactly one row, and refine carries the table child by child.  Row j
+    covers the wedge [2 pi j / S, 2 pi (j+1) / S]: at levels 0-3 the
+    centroids of its triangles lie in it."""
     R = 2.0
     mesh = (M.build_disc_mesh(R, n_angular) if region == M.DISC
             else M.build_annulus_mesh(1.0, R, n_angular))
@@ -370,6 +372,13 @@ def test_rotation_table_rows_are_row_zero_turned(n_angular, region):
         assert table.shape == (n_angular, mesh.num_triangles // n_angular)
         assert np.array_equal(np.sort(table, axis=None),
                               np.arange(mesh.num_triangles))
+        if level < 4:
+            centroid = mesh.nodes[mesh.triangles[table]].mean(axis=2)
+            angle = np.mod(np.arctan2(centroid[..., 1], centroid[..., 0]),
+                           2 * np.pi)
+            assert np.array_equal(np.floor(angle * n_angular / (2 * np.pi)),
+                                  np.broadcast_to(np.arange(n_angular)[:, None],
+                                                  angle.shape))
         first = _quad_points(mesh, table[0])
         for j, row in enumerate(table):
             c, s = np.cos(2 * np.pi * j / n_angular), \

@@ -216,8 +216,35 @@ def _random_solution(disc, ann, seed):
                          disc_mesh=disc, annulus_mesh=ann, residual=0.0)
 
 
+def _pushed_out(mesh, eps):
+    """Per boundary edge, the point whose barycentric at the opposite vertex
+    of the edge's triangle is -eps: outside the mesh, but within
+    LOCATE_TOL of it for eps < 1e-10."""
+    local = mesh.triangles[:, [[1, 2, 0], [2, 0, 1], [0, 1, 2]]].reshape(-1, 3)
+    _, at, count = np.unique(np.sort(local[:, :2], axis=1), axis=0,
+                             return_inverse=True, return_counts=True)
+    edge = local[count[at.ravel()] == 1]
+    mid = mesh.nodes[edge[:, :2]].mean(axis=1)
+    return (1.0 + eps) * mid - eps * mesh.nodes[edge[:, 2]]
+
+
+def _on_rays(rng, n_rays, r_lo, r_hi):
+    """Four random radii on each ray at 2 pi j / n_rays."""
+    r = rng.uniform(r_lo, r_hi, size=(n_rays, 4))
+    theta = 2 * np.pi * np.arange(n_rays)[:, None] / n_rays
+    return np.column_stack([(r * np.cos(theta)).ravel(),
+                            (r * np.sin(theta)).ravel()])
+
+
 @pytest.mark.parametrize("level", [1, 2, 3])
 def test_locator_matches_brute_force_reference(mesh_pairs, level):
+    """The locator's triangle is the reference's lowest-index one, at random
+    points, nodes, edge midpoints, points on the sector rays, points just
+    outside a boundary edge and, in the disc, at and near the centre.  Its
+    barycentrics are bitwise those of the test of every triangle (a mesh
+    without a rotation table), and so are those of a table halved to S = 8
+    and of one rolled so that no row is its wedge's, short of the nodes and
+    edge midpoints."""
     disc, ann = mesh_pairs[level]
     sol = _random_solution(disc, ann, level)
     rng = np.random.default_rng(10 + level)
@@ -226,29 +253,45 @@ def test_locator_matches_brute_force_reference(mesh_pairs, level):
     line = np.linspace(-R * apothem, R * apothem, 401)
     across = np.column_stack([line, 0.3 * line]) / np.hypot(1.0, 0.3)
     across = across[np.hypot(*across.T) >= R0 * 1.001]
-    for mesh, which, values, locator, pattern in (
+    centre = [[0.0, 0.0], [1e-12, 0.0], [0.0, -1e-12], [-7e-13, 7e-13],
+              [3e-13, 1e-13], [-1e-12, -0.0]]
+    for mesh, which, values, locator, pattern, extra in (
             (disc, "u", sol.u_nodal, sol._disc_locator,
-             _area_uniform(rng, 100, 0.0, R0 * apothem)),
+             _area_uniform(rng, 100, 0.0, R0 * apothem),
+             np.vstack([centre, _on_rays(rng, N_ANGULAR, 0.0,
+                                         R0 * apothem)])),
             (ann, "p", sol.p_nodal, sol._annulus_locator,
              np.vstack([_area_uniform(rng, 100, R0 * 1.001, R * apothem),
-                        across]))):
+                        across]),
+             _on_rays(rng, N_ANGULAR, R0 * 1.001, R * apothem))):
         scale = np.max(np.abs(values))
-        points = np.vstack([pattern, mesh.nodes, _edge_midpoints(mesh)])
+        points = np.vstack([pattern, extra, _pushed_out(mesh, 1e-11)])
+        n_tables = len(points)
+        points = np.vstack([points, mesh.nodes, _edge_midpoints(mesh)])
         want_t, want_lam = _reference_locate(mesh, points)
         assert np.all(want_t >= 0)
         interior = want_lam.min(axis=1) > 1e-9
         assert np.count_nonzero(interior[:len(pattern)]) >= len(pattern) - 2
         want_lam = np.clip(want_lam, 0.0, None)
         want_lam /= want_lam.sum(axis=1, keepdims=True)
+        full, *tables = (solve_module._Locator(dataclasses.replace(
+            mesh, rotations=table)) for table in (
+                None, mesh.rotations.reshape(N_ANGULAR // 2, -1),
+                np.roll(mesh.rotations, 1, axis=0)))
         for i, point in enumerate(points):
             t, lam = locator.locate(point)
-            # also at nodes and edge midpoints, where several triangles
-            # qualify: no barycentric here is near the 1e-10 threshold, so
-            # both pick the same lowest index
+            # also at nodes, edge midpoints and on rays, where several
+            # triangles qualify: no barycentric here is near the 1e-10
+            # threshold, so both pick the same lowest index
             assert t == want_t[i], (which, point)
             got = lam @ values[mesh.triangles[t]]
             want = want_lam[i] @ values[mesh.triangles[want_t[i]]]
             assert np.max(np.abs(got - want)) <= 1e-13 * scale, (which, point)
+            full_t, full_lam = full.locate(point)
+            assert t == full_t and np.array_equal(lam, full_lam), point
+            for other in (tables if i < n_tables else ()):
+                other_t, other_lam = other.locate(point)
+                assert t == other_t and np.array_equal(lam, other_lam), point
             if i < len(pattern):
                 assert np.allclose(evaluate_field(sol, point, which), got,
                                    rtol=0.0, atol=1e-15 * scale)
