@@ -213,9 +213,9 @@ class _SweepErrors:
     err_h1 (M and K the P1 mass and stiffness matrices per displacement
     component and region, the blocks' ``SystemBlocks.p1_forms``: the rule
     integrates P1 products exactly).  W is real, so delta^H G delta =
-    Re(delta)^T G Re(delta) + Im(delta)^T G Im(delta).  A row then costs O((2N+1)^2) instead of a pass over every
-    quadrature point, and the largest order's row (delta = 0) is the
-    reference's bitwise.  Expanding around x*, not y, keeps s at the size
+    Re(delta)^T G Re(delta) + Im(delta)^T G Im(delta).  A row then costs
+    O((2N+1)^2) instead of a pass over every quadrature point, and the
+    largest order's row (delta = 0) is the reference's bitwise.  Expanding around x*, not y, keeps s at the size
     of every row's err^2, so the sum loses no digits.
 
     Orders that were solved directly, and every order of a curve without a

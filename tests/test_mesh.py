@@ -376,9 +376,8 @@ def test_rotation_table_rows_are_row_zero_turned(n_angular, region):
             centroid = mesh.nodes[mesh.triangles[table]].mean(axis=2)
             angle = np.mod(np.arctan2(centroid[..., 1], centroid[..., 0]),
                            2 * np.pi)
-            assert np.array_equal(np.floor(angle * n_angular / (2 * np.pi)),
-                                  np.broadcast_to(np.arange(n_angular)[:, None],
-                                                  angle.shape))
+            sector = np.floor(angle * n_angular / (2 * np.pi))
+            assert np.all(sector == np.arange(n_angular)[:, None])
         first = _quad_points(mesh, table[0])
         for j, row in enumerate(table):
             c, s = np.cos(2 * np.pi * j / n_angular), \
