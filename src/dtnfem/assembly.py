@@ -21,7 +21,8 @@ are exact for P1; boundary loads use 4-point Gauss per edge.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -296,15 +297,27 @@ class SystemBlocks:
     dtn: dtn_ops.DtnSeries
 
 
-@dataclass(frozen=True)
+@dataclass
 class FemSystem:
-    matrix: sp.csr_matrix
+    """The system A x = ``rhs`` of one mesh pair, physics and order N.  A
+    (``matrix``, A0 - P B_N P^T) is formed on first read from the
+    ``blocks``, which the system then lets go of, so that A0 can be freed
+    before A is factored; a row ``solve.LowRankSweep`` solves never reads A."""
+
     rhs: np.ndarray
     dof_map: DofMap
     disc_mesh: Mesh
     annulus_mesh: Mesh
     config: PhysicalConfig
     sectors: Sectors | None
+    blocks: SystemBlocks | None = field(default=None, repr=False)
+
+    @cached_property
+    def matrix(self) -> sp.csr_matrix:
+        a0, blocks, self.blocks = self.blocks.matrix0, self.blocks, None
+        data = a0.data.copy()
+        data[blocks.dtn_slots] -= blocks.dtn.matrix(self.config.N).ravel()
+        return sp.csr_matrix((data, a0.indices, a0.indptr), shape=a0.shape)
 
 
 def assemble_blocks(disc_mesh: Mesh, annulus_mesh: Mesh,
@@ -346,18 +359,10 @@ def assemble_blocks(disc_mesh: Mesh, annulus_mesh: Mesh,
 
 
 def assemble_system(blocks: SystemBlocks, N: int) -> FemSystem:
-    """Complete complex sparse system A0 - P B P^T of the blocks' mesh pair
-    and physics at the truncation order N.  B_N comes from the blocks' DtN
-    series, which adds only the modes between the last order it built and
-    N (from mode 0 when N is smaller), so a row of an ascending curve costs
-    O(m^2 + nnz), m the trace's node count.  The system holds no reference
-    to the blocks, so A0 can be freed before the system is factored."""
-    config = replace(blocks.config, N=N)
-    a0 = blocks.matrix0
-    data = a0.data.copy()
-    data[blocks.dtn_slots] -= blocks.dtn.matrix(config.N).ravel()
-    matrix = sp.csr_matrix((data, a0.indices, a0.indptr), shape=a0.shape)
-    return FemSystem(matrix=matrix, rhs=blocks.load.copy(),
-                     dof_map=blocks.dof_map, disc_mesh=blocks.disc_mesh,
-                     annulus_mesh=blocks.annulus_mesh, config=config,
-                     sectors=blocks.sectors)
+    """The system of the blocks' mesh pair and physics at the truncation
+    order N; its matrix is formed on first read (``FemSystem``), with B_N
+    from the blocks' DtN series, which adds only the modes past the last
+    order it built (from mode 0 when N is smaller)."""
+    return FemSystem(blocks.load.copy(), blocks.dof_map, blocks.disc_mesh,
+                     blocks.annulus_mesh, replace(blocks.config, N=N),
+                     blocks.sectors, blocks)

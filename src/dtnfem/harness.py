@@ -76,8 +76,8 @@ class ErrorReport:
 
 def _quad_points(mesh: Mesh, triangles=slice(None)) -> np.ndarray:
     """Quadrature points (T, Q, 2) of every triangle, or of ``triangles``."""
-    return np.einsum("qa,tad->tqd", _TRI_QP,
-                     mesh.nodes[mesh.triangles[triangles]])
+    return np.einsum("qa,tad->tqd", _TRI_QP, np.take(
+        mesh.nodes, mesh.triangles[triangles], axis=0))
 
 
 def _oracle_tables(mesh: Mesh, oracle, exact: analytic.SeriesSolution):
@@ -472,13 +472,13 @@ def truncation_study(cfg: StudyConfig) -> TruncationResult:
     The N-independent matrix A0, its sparse factorization, the oracle
     values at the quadrature points and the coefficient form of the errors
     (``_SweepErrors``) are built once per curve, before its first row, and
-    so are z_0..z_N_max, once, in the blocks' DtN series.  Each N then
-    assembles its system with the series' B_N, which adds only the modes
-    past the previous row's order (from mode 0 when N is smaller), and is
+    so are z_0..z_N_max, once, in the blocks' DtN series.  Each N is then
     solved from that one factorization as a rank-(2N+1) update
-    (``solve.LowRankSweep``), with the direct solve as the fallback; a
-    single order is solved directly.  The rows do not depend on the order
-    of ``n_values``.
+    (``solve.LowRankSweep``) and gated on A0 and the series' factor, so
+    it forms neither B_N nor its system matrix; the direct solve is the
+    fallback, and a single order is solved directly, both from the matrix
+    formed with the series' B_N.  The rows do not depend on the order of
+    ``n_values``.
     A swept row's errors come from its coefficients c_N alone; a row solved
     directly takes the pass over every quadrature point.
     """

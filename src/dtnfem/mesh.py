@@ -90,7 +90,7 @@ class BoundaryTrace:
 
 def triangle_areas(mesh: Mesh) -> np.ndarray:
     """Signed areas; positive for correctly oriented triangles."""
-    p = mesh.nodes[mesh.triangles]
+    p = np.take(mesh.nodes, mesh.triangles, axis=0)
     d1 = p[:, 1] - p[:, 0]
     d2 = p[:, 2] - p[:, 0]
     return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
@@ -98,7 +98,7 @@ def triangle_areas(mesh: Mesh) -> np.ndarray:
 
 def mesh_size(mesh: Mesh) -> float:
     """h = longest edge over all triangles."""
-    p = mesh.nodes[mesh.triangles]
+    p = np.take(mesh.nodes, mesh.triangles, axis=0)
     h = 0.0
     for a, b in ((0, 1), (1, 2), (2, 0)):
         h = max(h, float(np.max(np.linalg.norm(p[:, a] - p[:, b], axis=1))))

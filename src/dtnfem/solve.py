@@ -22,7 +22,8 @@ leading 2N+1 columns of W and the leading (2N+1)^2 block of the capacitance
 matrix I - D S, and solves no system with A0.  Mode n of V lives in blocks
 m = +-n (mod S) only, so W takes one block solve per column.  The sweep
 keeps c_N of every order whose x passed the residual gate, so a caller
-can work on x_N = y + W c_N in coefficient space (``harness._SweepErrors``).
+can work on x_N = y + W c_N in coefficient space (``harness._SweepErrors``);
+its gate takes A0 x - V D V^T x - b, so no order forms its system matrix.
 """
 
 from __future__ import annotations
@@ -52,9 +53,8 @@ class SingularSystemError(RuntimeError):
     configuration.  Never silently regularized."""
 
 
-def _relative_residual(matrix, x, rhs) -> float:
-    return float(np.linalg.norm(matrix @ x - rhs)
-                 / max(np.linalg.norm(rhs), 1e-300))
+def _relative_residual(ax, rhs) -> float:
+    return float(np.linalg.norm(ax - rhs) / max(np.linalg.norm(rhs), 1e-300))
 
 
 def _pairs(z: np.ndarray, p: int, m: np.ndarray) -> np.ndarray:
@@ -117,11 +117,12 @@ class _Factor:
         return f[(self._m + self._shift) % len(f), self._q]
 
     def _backward(self, x: np.ndarray) -> np.ndarray:
-        """The inverse of ``_forward``."""
-        z = np.empty((len(self._slot), x.shape[2]), complex)
-        z[self._sec.orbits] = np.fft.ifft(
-            x[(self._m - self._shift) % len(x), self._q], axis=0, norm="ortho")
-        return _pairs(z, self._sec.pairs, _V.conj().T)
+        """The inverse of ``_forward``, read at each unknown's own slot."""
+        S, Q = self._sec.orbits.shape
+        z = np.fft.ifft(x[(self._m - self._shift) % S, self._q], axis=0,
+                        norm="ortho").reshape(S * Q, -1)
+        return _pairs(np.take(z, self._sector * Q + self._slot, axis=0),
+                      self._sec.pairs, _V.conj().T)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """A^-1 rhs, complex, for rhs of shape (n,) or (n, k)."""
@@ -165,7 +166,7 @@ def solve_linear(matrix: sp.spmatrix, rhs: np.ndarray,
         raise SingularSystemError(str(exc)) from exc
     if not np.all(np.isfinite(x)):
         raise SingularSystemError("solver produced non-finite values")
-    residual = _relative_residual(matrix, x, rhs)
+    residual = _relative_residual(matrix @ x, rhs)
     if residual > RESIDUAL_TOL:
         raise SingularSystemError(
             f"relative residual {residual:.3e} exceeds {RESIDUAL_TOL:g}; "
@@ -182,14 +183,16 @@ class LowRankSweep:
 
     A0 has a natural (Neumann) condition at R, so it can be singular at
     isolated k while every A0 - P B P^T is not: when SuperLU cannot factor
-    A0, or an order's answer is non-finite or misses RESIDUAL_TOL against the
-    full system matrix, that order is solved by ``solve_linear`` instead.
+    A0, or an order's answer is non-finite or its residual A0 x - V D V^T x
+    - b, which reads no ``FemSystem.matrix``, misses RESIDUAL_TOL, that
+    order is solved by ``solve_linear`` instead.
     """
 
     def __init__(self, blocks: SystemBlocks, order: int):
         self.order = order
         self.kept = {}   # order -> c_N of every x that passed the gate
         self._c = {}     # order -> c_N, or None if its solve was singular
+        self._a0 = blocks.matrix0
         self._dofs = blocks.dof_map.pressure(blocks.trace_r.node_indices)
         self._columns, self._weights = blocks.dtn.factor(order)
         try:   # A0 is real; _Factor's sparse products drop its zeros
@@ -236,7 +239,9 @@ class LowRankSweep:
         if c is not None:
             x = self.combine(c)
             if np.all(np.isfinite(x)):
-                residual = _relative_residual(system.matrix, x, system.rhs)
+                ax, u, p = self._a0 @ x, self._columns[:, :len(c)], self._dofs
+                ax[p] -= u @ (self._weights[:len(c)] * (u.T @ x[p]))
+                residual = _relative_residual(ax, system.rhs)
                 if residual <= RESIDUAL_TOL:
                     self.kept[N] = c
                     return x, residual

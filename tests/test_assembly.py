@@ -388,6 +388,40 @@ def test_system_is_matrix0_minus_the_dtn_block(pair16):
     assert np.all(blocks.matrix0.imag.data == 0.0)
 
 
+def eager_system_matrix(blocks, N):
+    """The system matrix as ``assemble_system`` formed it before the matrix
+    was formed on first read: a copy of A0's data less B_N at the DtN
+    slots."""
+    a0 = blocks.matrix0
+    data = a0.data.copy()
+    data[blocks.dtn_slots] -= blocks.dtn.matrix(N).ravel()
+    return sp.csr_matrix((data, a0.indices, a0.indptr), shape=a0.shape)
+
+
+@pytest.mark.parametrize("level", [1, 3])
+def test_matrix_formed_on_first_read_is_the_eager_one_bitwise(mesh_pairs,
+                                                              level):
+    """Each system's matrix, formed on first read in an order other than
+    the one its systems were assembled in, so that the blocks' DtN series
+    moves up and down between orders, is bitwise the eager matrix from a
+    fresh series; it is formed once, and the system lets go of the blocks
+    then."""
+    disc, ann = mesh_pairs[level]
+    cfg = PhysicalConfig(k=2.0)
+    blocks = assembly.assemble_blocks(disc, ann, cfg)
+    orders = (3, 7, 1, 20, 20, 5, 2, 12)
+    systems = [assembly.assemble_system(blocks, N) for N in orders]
+    assert all(system.blocks is blocks for system in systems)
+    for i in (4, 0, 6, 2, 7, 3, 1, 5):
+        fresh = dataclasses.replace(blocks, dtn=dtn.DtnSeries(
+            blocks.trace_r, cfg.k, cfg.R))
+        got, want = systems[i].matrix, eager_system_matrix(fresh, orders[i])
+        assert systems[i].blocks is None and systems[i].matrix is got
+        for a, b in ((got.data, want.data), (got.indices, want.indices),
+                     (got.indptr, want.indptr)):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
 @pytest.mark.parametrize("level", [0, 1, 2, 3])
 def test_matrix0_blocks_match_the_reference_assembly(level):
     """A1, C4, C3 and A2 of A0 from the scatter maps are the element-matrix

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dtnfem import mesh as M
-from dtnfem.harness import _quad_points
+from dtnfem.harness import _TRI_QP, _quad_points
 
 # mesh-size ladder the refined default pair must reproduce (within 5%)
 REFERENCE_H = (0.4304, 0.2151, 0.1076)
@@ -397,3 +397,22 @@ def test_a_mesh_built_by_hand_has_no_rotation_table():
     assert mesh.rotations is None
     assert M.refine(mesh).rotations is None
     assert not M.build_disc_mesh(1.0, 8).rotations.flags.writeable
+
+
+@pytest.mark.parametrize("level", [0, 3])
+def test_take_gathers_are_the_fancy_index_gathers_bitwise(mesh_pairs, level):
+    """mesh_size, triangle_areas and _quad_points gather the triangles'
+    nodes with np.take; each is bitwise its fancy-index form."""
+    for mesh in mesh_pairs[level]:
+        p = mesh.nodes[mesh.triangles]
+        h = max(float(np.max(np.linalg.norm(p[:, a] - p[:, b], axis=1)))
+                for a, b in ((0, 1), (1, 2), (2, 0)))
+        d1, d2 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
+        areas = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+        assert M.mesh_size(mesh) == h
+        assert np.array_equal(M.triangle_areas(mesh), areas)
+        rows = mesh.rotations[0] if mesh.rotations is not None else [0, 2]
+        for triangles in (slice(None), rows):
+            want = np.einsum("qa,tad->tqd", _TRI_QP,
+                             mesh.nodes[mesh.triangles[triangles]])
+            assert np.array_equal(_quad_points(mesh, triangles), want)
