@@ -310,7 +310,7 @@ class FemSystem:
     annulus_mesh: Mesh
     config: PhysicalConfig
     sectors: Sectors | None
-    blocks: SystemBlocks | None = field(default=None, repr=False)
+    blocks: SystemBlocks | None = field(repr=False)   # None once formed
 
     @cached_property
     def matrix(self) -> sp.csr_matrix:
