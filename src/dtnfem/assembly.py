@@ -12,11 +12,11 @@ couplings through the outward normal of the solid; B: the truncated
 absorbing-boundary matrix subtracted into the pressure-pressure block.  A1
 and A2 are sums of scalar P1 matrices on one scatter map per mesh
 (``_P1Map``); A0 = [[A1, C4], [C3, A2]], N-independent, is written once, and
-each order N subtracts B = U diag(d) U^T, from the blocks' DtN series
-(``dtn.DtnSeries``), at fixed slots of A0's pattern.  Every system of a
-polar mesh pair is factored in sector-Fourier space (``solve`` module)
-through the pair's sector table (``Sectors``).  Volume element integrals
-are exact for P1; boundary loads use 4-point Gauss per edge.
+each order N subtracts B = U diag(d) U^T (``dtn.assemble_dtn_matrix``) at
+fixed slots of A0's pattern.  Every system of a polar mesh pair is factored
+in sector-Fourier space (``solve`` module) through the pair's sector table
+(``Sectors``).  Volume element integrals are exact for P1; boundary loads
+use 4-point Gauss per edge.
 """
 
 from __future__ import annotations
@@ -278,10 +278,7 @@ class SystemBlocks:
     annulus, the scalar P1 mass and stiffness matrices (M, K_xx + K_yy) on
     those patterns.
     ``sectors`` is the sector table every factorization of the pair's
-    systems works in, or None for one sector.  ``dtn`` is the DtN series
-    of ``trace_r``, k and R that every order of the pair takes its B_N and
-    its factor from (``assemble_system``, ``solve.LowRankSweep``); it keeps
-    the last B_N, so a curve of ascending orders adds one mode per order.
+    systems works in, or None for one sector.
     """
 
     disc_mesh: Mesh
@@ -294,7 +291,6 @@ class SystemBlocks:
     trace_r: BoundaryTrace
     p1_forms: tuple
     sectors: Sectors | None
-    dtn: dtn_ops.DtnSeries
 
 
 @dataclass
@@ -316,7 +312,11 @@ class FemSystem:
     def matrix(self) -> sp.csr_matrix:
         a0, blocks, self.blocks = self.blocks.matrix0, self.blocks, None
         data = a0.data.copy()
-        data[blocks.dtn_slots] -= blocks.dtn.matrix(self.config.N).ravel()
+        # positional, through the module: perfbench's DtN hook wraps
+        # dtn_ops.assemble_dtn_matrix and keys on (trace, k, R, N)
+        data[blocks.dtn_slots] -= dtn_ops.assemble_dtn_matrix(
+            blocks.trace_r, self.config.k, self.config.R,
+            self.config.N).ravel()
         return sp.csr_matrix((data, a0.indices, a0.indptr), shape=a0.shape)
 
 
@@ -354,15 +354,12 @@ def assemble_blocks(disc_mesh: Mesh, annulus_mesh: Mesh,
                                         p.csr(p.k_xx + p.k_yy))
                                        for p in (disc, ring)),
                         sectors=_sectors((disc_mesh, annulus_mesh), dof_map,
-                                         config.rho_f * config.omega ** 2),
-                        dtn=dtn_ops.DtnSeries(trace_r, config.k, config.R))
+                                         config.rho_f * config.omega ** 2))
 
 
 def assemble_system(blocks: SystemBlocks, N: int) -> FemSystem:
     """The system of the blocks' mesh pair and physics at the truncation
-    order N; its matrix is formed on first read (``FemSystem``), with B_N
-    from the blocks' DtN series, which adds only the modes past the last
-    order it built (from mode 0 when N is smaller)."""
+    order N; its matrix is formed on first read (``FemSystem``)."""
     return FemSystem(blocks.load.copy(), blocks.dof_map, blocks.disc_mesh,
                      blocks.annulus_mesh, replace(blocks.config, N=N),
                      blocks.sectors, blocks)

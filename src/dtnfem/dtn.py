@@ -13,8 +13,7 @@ real factor used by both the assembly and the low-rank sweep:
 with the hat weights w_n = integral of zeta_j(phi) cos(n (phi - phi_j)) dphi
 = 4 sin^2(n delta/2) / (n^2 delta).  The columns are ordered [n=0, cos 1,
 sin 1, ..., cos N, sin N], so the order-M operator (M <= N) is the first
-2M+1 of them, and B_M = B_{M-1} plus the outer products of mode M: a
-``DtnSeries`` grows one trace's factor and matrix across orders.
+2M+1 of them, and B_M = B_{M-1} plus the outer products of mode M.
 """
 
 from __future__ import annotations
@@ -27,8 +26,7 @@ from . import special
 from .mesh import BoundaryTrace
 
 __all__ = [
-    "DecayTable", "DtnSeries", "dtn_factor", "assemble_dtn_matrix",
-    "truncation_decay_check",
+    "DecayTable", "dtn_factor", "assemble_dtn_matrix", "truncation_decay_check",
 ]
 
 _UNIFORM_TOL = 1e-12
@@ -60,58 +58,18 @@ def dtn_factor(trace: BoundaryTrace, k: float, radius: float, order: int):
     return columns, weights
 
 
-class DtnSeries:
-    """The truncated DtN series of one trace, k and R, grown on demand.
-
-    ``factor`` hands out the leading columns and weights of the largest
-    order asked so far; a larger order re-forms them (:func:`dtn_factor`) at
-    exactly that order, so no z_n past the largest order asked is ever
-    evaluated.  ``matrix`` keeps the last B_N it handed out: a larger order
-    adds the modes in between, a smaller one restarts from mode 0, so B_N
-    is always the same mode-by-mode sum, bitwise, as from scratch.  The
-    arrays handed out are read-only, and no later call changes them.
-    """
-
-    def __init__(self, trace: BoundaryTrace, k: float, radius: float):
-        self.trace, self.k, self.radius = trace, k, radius
-        self._columns = self._weights = self._matrix = None
-        self._order = -1   # the order of ``_matrix``
-
-    def factor(self, order: int):
-        """Columns U and weights d of B_order = U diag(d) U^T."""
-        r = 2 * special._check_order(order) + 1
-        if self._columns is None or r > self._columns.shape[1]:
-            self._columns, self._weights = dtn_factor(self.trace, self.k,
-                                                      self.radius, order)
-            self._columns.setflags(write=False)
-            self._weights.setflags(write=False)
-        return self._columns[:, :r], self._weights[:r]
-
-    def matrix(self, order: int) -> np.ndarray:
-        """Dense B_order, accumulated a cosine and a sine outer product per
-        mode, so the complex symmetry B == B.T holds exactly."""
-        columns, weights = self.factor(order)
-        order = len(weights) // 2
-        if order < self._order or self._matrix is None:
-            B = np.full((len(columns), len(columns)),
-                        weights[0] * columns[0, 0] ** 2, dtype=complex)
-            first = 1
-        else:   # a matrix handed out earlier stays as it is
-            B = self._matrix if order == self._order else self._matrix.copy()
-            first = self._order + 1
-        for n in range(first, order + 1):
-            c, s = columns[:, 2 * n - 1], columns[:, 2 * n]
-            B += weights[2 * n] * (np.outer(c, c) + np.outer(s, s))
-        B.setflags(write=False)
-        self._matrix, self._order = B, order
-        return B
-
-
 def assemble_dtn_matrix(trace: BoundaryTrace, k: float, radius: float,
                         order: int) -> np.ndarray:
     """Dense matrix B[i][j] = integral over the circle of (S^N zeta_j) zeta_i
-    ds, read-only, from a series of its own (:class:`DtnSeries`)."""
-    return DtnSeries(trace, k, radius).matrix(order)
+    ds, accumulated a cosine and a sine outer product per mode, so the
+    complex symmetry B == B.T holds exactly."""
+    columns, weights = dtn_factor(trace, k, radius, order)
+    B = np.full((len(columns), len(columns)),
+                weights[0] * columns[0, 0] ** 2, dtype=complex)
+    for n in range(1, len(weights) // 2 + 1):
+        c, s = columns[:, 2 * n - 1], columns[:, 2 * n]
+        B += weights[2 * n] * (np.outer(c, c) + np.outer(s, s))
+    return B
 
 
 @dataclass(frozen=True)

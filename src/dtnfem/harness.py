@@ -472,12 +472,13 @@ def truncation_study(cfg: StudyConfig) -> TruncationResult:
     The N-independent matrix A0, its sparse factorization, the oracle
     values at the quadrature points and the coefficient form of the errors
     (``_SweepErrors``) are built once per curve, before its first row, and
-    so are z_0..z_N_max, once, in the blocks' DtN series.  Each N is then
-    solved from that one factorization as a rank-(2N+1) update
-    (``solve.LowRankSweep``) and gated on A0 and the series' factor, so
-    it forms neither B_N nor its system matrix; the direct solve is the
-    fallback, and a single order is solved directly, both from the matrix
-    formed with the series' B_N.  The rows do not depend on the order of
+    so is the DtN factor at N_max (``dtn.dtn_factor``), the one evaluation
+    of z_0..z_N_max.  Each N is then solved from that one factorization as
+    a rank-(2N+1) update (``solve.LowRankSweep``) and gated on A0 and the
+    factor's leading columns, so it forms neither B_N nor its system
+    matrix; the direct solve is the fallback, and a single order is solved
+    directly, both from the matrix formed with B_N
+    (``dtn.assemble_dtn_matrix``).  The rows do not depend on the order of
     ``n_values``.
     A swept row's errors come from its coefficients c_N alone; a row solved
     directly takes the pass over every quadrature point.
@@ -527,7 +528,9 @@ def operator_decay(cfg: StudyConfig, k: float,
 
 
 def write_csv(path, reports, footer=()) -> None:
-    """Fixed-schema CSV; byte-deterministic except the seconds column."""
+    """Fixed-schema CSV; byte-deterministic except the seconds column at a
+    fixed BLAS thread count (another count can move the last digit of an
+    error column)."""
     lines = [CSV_HEADER]
     for r in reports:
         lines.append(f"{r.h:.17g},{r.N},{r.k:.17g},{r.dofs},"

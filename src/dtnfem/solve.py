@@ -36,6 +36,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from . import dtn as dtn_ops
 from .assembly import FemSystem, Sectors, SystemBlocks, _p1_geometry
 from .config import PhysicalConfig
 from .mesh import Mesh
@@ -178,8 +179,8 @@ class LowRankSweep:
     """Every truncation order N <= ``order`` of one SystemBlocks from a single
     LU of the real A0, each order by the Woodbury identity (module
     docstring) for the load of the blocks.  V and D are the columns and
-    weights of the blocks' DtN series (``SystemBlocks.dtn``), the ones
-    ``assemble_system`` builds each order's B from.
+    weights of ``dtn.dtn_factor`` at ``order``; the leading 2N+1 of them
+    are the factor of the B_N that ``dtn.assemble_dtn_matrix`` forms.
 
     A0 has a natural (Neumann) condition at R, so it can be singular at
     isolated k while every A0 - P B P^T is not: when SuperLU cannot factor
@@ -194,7 +195,8 @@ class LowRankSweep:
         self._c = {}     # order -> c_N, or None if its solve was singular
         self._a0 = blocks.matrix0
         self._dofs = blocks.dof_map.pressure(blocks.trace_r.node_indices)
-        self._columns, self._weights = blocks.dtn.factor(order)
+        self._columns, self._weights = dtn_ops.dtn_factor(
+            blocks.trace_r, blocks.config.k, blocks.config.R, order)
         try:   # A0 is real; _Factor's sparse products drop its zeros
             self._lu = _Factor(blocks.matrix0.real, blocks.sectors)
         except RuntimeError:     # A0 exactly singular: every order goes direct

@@ -192,7 +192,7 @@ def test_mode_space_matrix_space_consistency(trace):
     assert np.max(np.abs(Bv - Bv_modes)) < 1e-12 * np.max(np.abs(Bv))
 
 
-# --------------------------------------------------------------- the series
+# --------------------------------------------------------------- the mode sum
 
 def mode_sum(trace, k, radius, order):
     """B from scratch: a cosine and a sine outer product per mode, summed
@@ -209,31 +209,19 @@ def mode_sum(trace, k, radius, order):
 @pytest.mark.parametrize("k", [1.0, 2.0, 3.7])
 @pytest.mark.parametrize("level", [0, 1, 2, 3])
 def test_series_is_the_mode_sum_from_scratch(mesh_pairs, level, k):
-    """Ascending, repeated, descending and gapped orders: every B_N and
-    every factor equals the from-scratch one bitwise, B_N == B_N^T exactly,
-    and a matrix handed out earlier is unchanged by later calls."""
+    """Every B_N equals the mode sum over the order's own factor bitwise,
+    and B_N == B_N^T exactly."""
     trace = boundary_trace(mesh_pairs[level][1], GAMMA_R)
-    series = dtn.DtnSeries(trace, k, 2.0)
-    handed = []
-    for order in [*range(25), 3, 7, 7, 30, 2]:
-        B = series.matrix(order)
+    for order in [*range(25), 30]:
+        B = dtn.assemble_dtn_matrix(trace, k, 2.0, order)
         assert np.array_equal(B, mode_sum(trace, k, 2.0, order))
         assert np.array_equal(B, B.T)
-        for got, want in zip(series.factor(order),
-                             dtn.dtn_factor(trace, k, 2.0, order)):
-            assert np.array_equal(got, want)
-        handed.append((B, B.copy()))
-    for B, snapshot in handed:
-        assert np.array_equal(B, snapshot)
-    with pytest.raises(ValueError):
-        B[0, 0] = 0.0
 
 
 def test_series_evaluates_no_order_past_the_largest_asked(trace,
                                                           monkeypatch):
-    """z_170 overflows at k = 1, R = 2: a series grown step by step up to
-    169 never reaches it, and re-forms its table only when an order grows
-    past the largest one asked."""
+    """z_170 overflows at k = 1, R = 2: B_N evaluates z_0..z_N for exactly
+    the order asked, so order 169 builds and order 170 raises."""
     orders, coefficients = [], special.dtn_coefficients
 
     def counting(order, k, radius):
@@ -241,13 +229,11 @@ def test_series_evaluates_no_order_past_the_largest_asked(trace,
         return coefficients(order, k, radius)
 
     monkeypatch.setattr(special, "dtn_coefficients", counting)
-    series = dtn.DtnSeries(trace, 1.0, 2.0)
-    for order in (1, 60, 169, 3, 169, 100):
-        series.matrix(order)
-    series.factor(150)
+    for order in (1, 60, 169):
+        dtn.assemble_dtn_matrix(trace, 1.0, 2.0, order)
     assert orders == [1, 60, 169]
     with pytest.raises(OverflowError, match="z_170"):
-        series.matrix(170)
+        dtn.assemble_dtn_matrix(trace, 1.0, 2.0, 170)
 
 
 # ----------------------------------------------------------------- mode space

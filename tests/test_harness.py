@@ -460,8 +460,8 @@ def test_each_scatter_map_is_built_once_per_curve(monkeypatch):
 
 
 def test_non_ascending_orders_give_the_ascending_rows(truncation_result):
-    """Orders out of order and repeated (the DtN series restarts from mode
-    0 for a smaller N) give each N the ascending study's row bitwise."""
+    """Orders out of order and repeated give each N the ascending study's
+    row bitwise."""
     rows = {(r.h, r.N): (r.h, r.dofs, r.err_h0, r.err_h1)
             for r in truncation_result.reports}
     shuffled = harness.truncation_study(StudyConfig(n_values=(7, 2, 20, 2)))
@@ -472,8 +472,8 @@ def test_non_ascending_orders_give_the_ascending_rows(truncation_result):
 
 def test_impedances_are_evaluated_once_per_curve(monkeypatch):
     """The order check before any mesh evaluates z_0..z_8 once, then each
-    curve once, for its sweep: every row takes its factor and B_N from the
-    curve's DtN series."""
+    curve once, for its sweep's factor at N_max: no swept row evaluates
+    them again."""
     orders, coefficients = [], special.dtn_coefficients
 
     def counting(order, k, radius):

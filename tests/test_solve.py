@@ -603,13 +603,13 @@ def test_split_residual_matches_the_full_matrix_residual(mesh_pairs, level,
 
 @pytest.mark.parametrize("failure", [None, "singular", "wrong"])
 def test_only_fallback_rows_form_their_matrix(monkeypatch, failure):
-    """A swept row calls no ``DtnSeries.matrix`` and never forms its
+    """A swept row calls no ``dtn.assemble_dtn_matrix`` and never forms its
     ``FemSystem.matrix``.  When A0 cannot be factored, or the sweep's answer
     misses the residual gate, each row falls back to the direct solve and
     forms its matrix exactly once."""
     cfg = StudyConfig(levels=(1,), n_values=(1, 2, 3, 4))
     formed, series = [], []
-    lazy, dtn_matrix = assembly.FemSystem.matrix, dtn.DtnSeries.matrix
+    lazy, dtn_matrix = assembly.FemSystem.matrix, dtn.assemble_dtn_matrix
 
     def matrix(system):
         if "matrix" not in system.__dict__:
@@ -617,8 +617,8 @@ def test_only_fallback_rows_form_their_matrix(monkeypatch, failure):
         return lazy.__get__(system, type(system))
 
     monkeypatch.setattr(assembly.FemSystem, "matrix", property(matrix))
-    monkeypatch.setattr(dtn.DtnSeries, "matrix", lambda self, order:
-                        series.append(order) or dtn_matrix(self, order))
+    monkeypatch.setattr(dtn, "assemble_dtn_matrix", lambda *args:
+                        series.append(args[3]) or dtn_matrix(*args))
     if failure == "singular":
         factor_init = solve_module._Factor.__init__
 
@@ -635,6 +635,41 @@ def test_only_fallback_rows_form_their_matrix(monkeypatch, failure):
     rows = [] if failure is None else list(cfg.n_values)
     assert formed == rows and series == rows
     assert max(result.residuals) <= 1e-10
+
+
+def test_dtn_terms_reach_the_module_attributes_positionally(monkeypatch):
+    """A direct solve takes B_N from one call of
+    ``assembly.dtn_ops.assemble_dtn_matrix(trace, k, radius, order)``, with
+    positional arguments only; a swept curve makes no such call and takes
+    its factor from one ``dtn_factor`` call at the largest order."""
+    matrices, factors = [], []
+    assemble, factor = dtn.assemble_dtn_matrix, dtn.dtn_factor
+
+    def spy(calls, function):
+        def wrapper(*args, **kwargs):
+            calls.append((args, kwargs))
+            return function(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(assembly.dtn_ops, "assemble_dtn_matrix",
+                        spy(matrices, assemble))
+    monkeypatch.setattr(dtn, "dtn_factor", spy(factors, factor))
+    cfg = StudyConfig(levels=(1,), k_values=(1.0, 4.0), n_values=(3, 1, 4, 2))
+    _, sol, _ = harness.run_single(cfg, 4.0, 5, 1)
+    (args, kwargs), = matrices
+    assert kwargs == {} and len(args) == 4
+    assert isinstance(args[0], M.BoundaryTrace)
+    assert np.array_equal(args[0].node_indices,
+                          M.boundary_trace(sol.annulus_mesh,
+                                           M.GAMMA_R).node_indices)
+    assert args[1:] == (4.0, cfg.R, 5)
+
+    matrices.clear()
+    factors.clear()
+    harness.truncation_study(cfg)
+    assert matrices == []
+    assert [args[1:] for args, _ in factors] == [(1.0, cfg.R, 4),
+                                                  (4.0, cfg.R, 4)]
 
 
 class _WrongFactor:
