@@ -21,7 +21,7 @@ use 4-point Gauss per edge.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -30,6 +30,7 @@ import scipy.sparse as sp
 from . import dtn as dtn_ops
 from .config import PhysicalConfig
 from .mesh import GAMMA, GAMMA_R, BoundaryTrace, Mesh, boundary_trace
+from .special import _check_order
 
 __all__ = [
     "DofMap", "FemSystem", "Sectors", "SystemBlocks", "PhysicalConfig",
@@ -269,8 +270,9 @@ class SystemBlocks:
     """N-independent pieces of the systems of one mesh pair and one physics,
     reusable across truncation orders.
 
-    ``config`` is the physics the blocks were assembled with; its N is not
-    used.  ``matrix0`` is A0 = [[A1, C4], [C3, A2]]; A1 and A2 are summed on
+    ``config`` is the physics the blocks were assembled with and ``load``
+    their read-only right-hand side; every system of the blocks shares
+    both.  ``matrix0`` is A0 = [[A1, C4], [C3, A2]]; A1 and A2 are summed on
     the disc's and the annulus's scatter maps and keep their patterns, exact
     zeros included; A2's holds the dense GAMMA_R block, explicitly zero
     where no triangle reaches: ``dtn_slots`` are the row-major positions of
@@ -295,8 +297,8 @@ class SystemBlocks:
 
 @dataclass
 class FemSystem:
-    """The system A x = ``rhs`` of one mesh pair, physics and order N.  A
-    (``matrix``, A0 - P B_N P^T) is formed on first read from the
+    """A x = ``rhs`` of the blocks' mesh pair and physics at the order ``N``.
+    A (``matrix``, A0 - P B_N P^T) is formed on first read from the
     ``blocks``, which the system then lets go of, so that A0 can be freed
     before A is factored; a row ``solve.LowRankSweep`` solves never reads A."""
 
@@ -305,6 +307,7 @@ class FemSystem:
     disc_mesh: Mesh
     annulus_mesh: Mesh
     config: PhysicalConfig
+    N: int
     sectors: Sectors | None
     blocks: SystemBlocks | None = field(repr=False)   # None once formed
 
@@ -315,8 +318,7 @@ class FemSystem:
         # positional, through the module: perfbench's DtN hook wraps
         # dtn_ops.assemble_dtn_matrix and keys on (trace, k, R, N)
         data[blocks.dtn_slots] -= dtn_ops.assemble_dtn_matrix(
-            blocks.trace_r, self.config.k, self.config.R,
-            self.config.N).ravel()
+            blocks.trace_r, self.config.k, self.config.R, self.N).ravel()
         return sp.csr_matrix((data, a0.indices, a0.indptr), shape=a0.shape)
 
 
@@ -326,6 +328,7 @@ def assemble_blocks(disc_mesh: Mesh, annulus_mesh: Mesh,
     c3, c4 = assemble_coupling(disc_mesh, annulus_mesh, config.rho_f,
                                config.omega, dof_map)
     load = assemble_load(disc_mesh, annulus_mesh, config, dof_map)
+    load.setflags(write=False)   # the rhs of every system of the blocks
     trace_r = boundary_trace(annulus_mesh, GAMMA_R)
     disc = _P1Map(disc_mesh)
     a1 = _elastic(disc, config.lam, config.mu, config.rho, config.omega)
@@ -360,6 +363,6 @@ def assemble_blocks(disc_mesh: Mesh, annulus_mesh: Mesh,
 def assemble_system(blocks: SystemBlocks, N: int) -> FemSystem:
     """The system of the blocks' mesh pair and physics at the truncation
     order N; its matrix is formed on first read (``FemSystem``)."""
-    return FemSystem(blocks.load.copy(), blocks.dof_map, blocks.disc_mesh,
-                     blocks.annulus_mesh, replace(blocks.config, N=N),
+    return FemSystem(blocks.load, blocks.dof_map, blocks.disc_mesh,
+                     blocks.annulus_mesh, blocks.config, _check_order(N),
                      blocks.sectors, blocks)

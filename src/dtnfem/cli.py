@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import re
 import sys
-from dataclasses import fields
 
 import numpy as np
 
@@ -109,7 +108,7 @@ def _add_common(sub):
     sub.add_argument("--modes", type=int, help="upper bound on oracle modes")
 
 
-def _study_config(args, **extra) -> StudyConfig:
+def _study_config(args) -> StudyConfig:
     values = {}
     if args.config:
         values.update(read_config_file(args.config))
@@ -130,9 +129,7 @@ def _study_config(args, **extra) -> StudyConfig:
         n_max = args.n_max
     if n_max is not None:
         values["n_values"] = tuple(range(1, n_max + 1))
-    values.update(extra)
-    known = {f.name for f in fields(StudyConfig)}
-    return StudyConfig(**{k: v for k, v in values.items() if k in known})
+    return StudyConfig(**values)
 
 
 def _print(line):
@@ -252,7 +249,7 @@ def build_parser() -> _Parser:
                                  "truncated DtN absorbing boundary")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    sub = subs.add_parser("solve", parents=[], help="single solve + errors")
+    sub = subs.add_parser("solve", help="single solve + errors")
     _add_common(sub)
     sub.add_argument("--k", type=float)
     sub.add_argument("--order", type=int, help="DtN truncation order N")

@@ -13,8 +13,9 @@ class PhysicalConfig:
 
     The fluid wave number k is the primary input; the solid wave numbers are
     derived, k_p = omega sqrt(rho/(lam+2 mu)) and k_s = omega sqrt(rho/mu).
-    N is the truncation order of the absorbing-boundary series and d the unit
-    propagation direction of the incident plane wave p_inc = exp(i k x.d).
+    d is the unit propagation direction of the incident plane wave
+    p_inc = exp(i k x.d).  The truncation order N is not physics: each
+    system (``assembly.FemSystem``) and solution carries its own.
     """
 
     lam: float = 1.0
@@ -25,7 +26,6 @@ class PhysicalConfig:
     k: float = 1.0
     R0: float = 1.0
     R: float = 2.0
-    N: int = 20
     d: tuple = (1.0, 0.0)
 
     def __post_init__(self):
@@ -34,7 +34,7 @@ class PhysicalConfig:
                              "components")
         if not np.all(np.isfinite([self.lam, self.mu, self.rho, self.rho_f,
                                    self.omega, self.k, self.R0, self.R,
-                                   self.N, *self.d])):
+                                   *self.d])):
             raise ValueError("physical parameters must be finite")
         if self.mu <= 0.0 or self.lam + self.mu <= 0.0:
             raise ValueError("need mu > 0 and lam + mu > 0")
@@ -54,9 +54,6 @@ class PhysicalConfig:
                 raise ValueError(f"{what} is not a finite normal float")
         if not (self.R > self.R0 > 0.0):
             raise ValueError("need R > R0 > 0")
-        if self.N < 0 or self.N != int(self.N):
-            raise ValueError("N must be a non-negative integer")
-        object.__setattr__(self, "N", int(self.N))
         object.__setattr__(self, "d", (float(self.d[0]), float(self.d[1])))
         if abs(np.hypot(*self.d) - 1.0) > 1e-12:
             raise ValueError("incident direction d must be a unit vector")

@@ -209,7 +209,7 @@ class LowRankSweep:
         self._lu.solve_modes(self._dofs, self._columns,
                              (np.arange(r) + 1) // 2, self.w)
         self._s = self._columns.T @ self.w[self._dofs]
-        # y = A0^{-1} b: assemble_system hands every order a copy of this load
+        # y = A0^{-1} b: every order's system shares this read-only load
         self._y = self._lu.solve(blocks.load)
 
     def coefficients(self, N: int):
@@ -236,7 +236,7 @@ class LowRankSweep:
     def solve(self, system: FemSystem):
         """(x, relative residual) for one order, under the same gate as
         ``solve_linear``."""
-        N = system.config.N
+        N = system.N
         c = self.coefficients(N) if N <= self.order else None
         if c is not None:
             x = self.combine(c)
@@ -252,11 +252,13 @@ class LowRankSweep:
 
 @dataclass(frozen=True)
 class FieldSolution:
-    """Nodal displacement over the disc and nodal pressure over the annulus."""
+    """Nodal displacement over the disc and nodal pressure over the annulus
+    of the system of ``config`` at the truncation order ``N``."""
 
     u_nodal: np.ndarray        # (n_solid, 2) complex
     p_nodal: np.ndarray        # (n_fluid,) complex
     config: PhysicalConfig
+    N: int
     disc_mesh: Mesh
     annulus_mesh: Mesh
     residual: float
@@ -286,6 +288,7 @@ def solve(system: FemSystem, sweep: LowRankSweep | None = None
         u_nodal=x[:2 * ns].reshape(ns, 2),
         p_nodal=x[2 * ns:],
         config=system.config,
+        N=system.N,
         disc_mesh=system.disc_mesh,
         annulus_mesh=system.annulus_mesh,
         residual=residual,

@@ -27,7 +27,7 @@ __all__ = [
 
 
 def _check_order(n):
-    if n != int(n) or n < 0:
+    if not (0 <= n < np.inf and n == int(n)):   # NaN fails the first test
         raise ValueError(f"order must be a non-negative integer, got {n!r}")
     if n > MAX_ORDER:
         raise ValueError(f"order {n} exceeds MAX_ORDER={MAX_ORDER}")

@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -340,49 +338,53 @@ def test_system_real_blocks(pair16):
 
 
 def test_system_blocks_reused(pair16):
-    """The blocks do not depend on the N of their config: a system of order
-    8 is bitwise the same from blocks built at N = 8 and at N = 20."""
+    """One set of blocks serves every order: orders 8, 20 and 8 again from
+    the same blocks give two bitwise-equal order-8 matrices, and every
+    system shares the blocks' load."""
     disc, ann = pair16
-    direct = assembly.assemble_system(
-        assembly.assemble_blocks(disc, ann, PhysicalConfig(N=8)), 8)
-    reused = assembly.assemble_system(
-        assembly.assemble_blocks(disc, ann, PhysicalConfig(N=20)), 8)
-    assert (direct.matrix - reused.matrix).nnz == 0
-    assert np.array_equal(direct.rhs, reused.rhs)
+    blocks = assembly.assemble_blocks(disc, ann, PhysicalConfig())
+    systems = [assembly.assemble_system(blocks, N) for N in (8, 20, 8)]
+    first, other, again = (system.matrix for system in systems)
+    for attr in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(first, attr), getattr(again, attr))
+    assert (first - other).nnz > 0
+    assert all(system.rhs is blocks.load for system in systems)
 
 
 def test_system_takes_its_meshes_and_physics_from_the_blocks(pair16):
     disc, ann = pair16
-    blocks = assembly.assemble_blocks(disc, ann, PhysicalConfig(k=2.0, N=20))
+    blocks = assembly.assemble_blocks(disc, ann, PhysicalConfig(k=2.0))
     assert blocks.disc_mesh is disc and blocks.annulus_mesh is ann
     system = assembly.assemble_system(blocks, 5)
-    assert system.config == dataclasses.replace(blocks.config, N=5)
+    assert system.config is blocks.config and system.N == 5
     assert system.disc_mesh is disc and system.annulus_mesh is ann
 
 
 def test_system_at_an_integral_float_order(pair16):
     """An order of 2.0 is stored as the int 2 and builds order 2's system;
-    a negative, fractional or non-finite order is a ValueError."""
+    a negative, fractional or non-finite order is a ValueError.  The
+    physics has no order to set."""
     disc, ann = pair16
     blocks = assembly.assemble_blocks(disc, ann, PhysicalConfig())
     system = assembly.assemble_system(blocks, 2.0)
-    assert type(system.config.N) is int and system.config.N == 2
-    assert type(PhysicalConfig(N=2.0).N) is int
+    assert type(system.N) is int and system.N == 2
     for bad in (-1, 2.5, np.inf, np.nan):
-        with pytest.raises(ValueError):
-            PhysicalConfig(N=bad)
+        with pytest.raises(ValueError, match="non-negative integer"):
+            assembly.assemble_system(blocks, bad)
+    with pytest.raises(TypeError):
+        PhysicalConfig(N=2)
     assert (system.matrix - assembly.assemble_system(blocks, 2).matrix).nnz == 0
 
 
 def test_system_is_matrix0_minus_the_dtn_block(pair16):
     disc, ann = pair16
-    cfg = PhysicalConfig(N=8)
+    cfg, N = PhysicalConfig(), 8
     blocks = assembly.assemble_blocks(disc, ann, cfg)
-    system = assembly.assemble_system(blocks, cfg.N)
+    system = assembly.assemble_system(blocks, N)
     dofs = blocks.dof_map.pressure(blocks.trace_r.node_indices)
     want = blocks.matrix0.toarray()
     want[np.ix_(dofs, dofs)] -= dtn.assemble_dtn_matrix(blocks.trace_r, cfg.k,
-                                                        cfg.R, cfg.N)
+                                                        cfg.R, N)
     assert np.array_equal(system.matrix.toarray(), want)
     # A0 carries no absorbing boundary, so every entry is real
     assert np.all(blocks.matrix0.imag.data == 0.0)
@@ -461,7 +463,7 @@ def test_galerkin_consistency_rate(base_config, base_series):
     for level in (1, 2):
         disc, ann = harness.build_mesh_pair(1.0, 2.0, 16, level)
         system = assembly.assemble_system(
-            assembly.assemble_blocks(disc, ann, base_config), base_config.N)
+            assembly.assemble_blocks(disc, ann, base_config), 20)
         r = np.linalg.norm(disc.nodes, axis=1)
         t = np.arctan2(disc.nodes[:, 1], disc.nodes[:, 0])
         u = analytic.eval_displacement(base_series, np.minimum(r, 1.0), t)
@@ -484,7 +486,7 @@ def test_continuity_constant_bounded(base_config):
     for level in (1, 2):
         disc, ann = harness.build_mesh_pair(1.0, 2.0, 16, level)
         system = assembly.assemble_system(
-            assembly.assemble_blocks(disc, ann, base_config), base_config.N)
+            assembly.assemble_blocks(disc, ann, base_config), 20)
         gram = h1_gram(disc, ann).tocsr()
         cmax = 0.0
         for _ in range(20):

@@ -1,5 +1,6 @@
 import hashlib
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -228,6 +229,13 @@ def test_unknown_config_key(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("nonsense = 3\n")
     assert run(["solve", "--config", str(bad)]) == 1
+
+
+def test_every_config_key_but_n_max_names_a_study_field():
+    """``_study_config`` hands every parsed value to StudyConfig unfiltered,
+    once N_max has been popped into n_values."""
+    dests = {dest for dest, _ in cli._CONFIG_KEYS.values()}
+    assert dests - {f.name for f in fields(harness.StudyConfig)} == {"N_max"}
 
 
 def test_unknown_flag_exits_one():

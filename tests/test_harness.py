@@ -35,7 +35,7 @@ def interpolant_solution(exact, disc, annulus):
     ra = np.linalg.norm(annulus.nodes, axis=1)
     ta = np.arctan2(annulus.nodes[:, 1], annulus.nodes[:, 0])
     p = analytic.eval_pressure(exact, np.maximum(ra, exact.config.R0), ta)
-    return FieldSolution(u_nodal=u, p_nodal=p, config=exact.config,
+    return FieldSolution(u_nodal=u, p_nodal=p, config=exact.config, N=20,
                          disc_mesh=disc, annulus_mesh=annulus, residual=0.0)
 
 
@@ -192,7 +192,7 @@ def test_zero_solution_norm_oracles(base_series, mesh_pairs):
     zero = FieldSolution(
         u_nodal=np.zeros((disc.num_nodes, 2), dtype=complex),
         p_nodal=np.zeros(ann.num_nodes, dtype=complex),
-        config=base_series.config, disc_mesh=disc, annulus_mesh=ann,
+        config=base_series.config, N=20, disc_mesh=disc, annulus_mesh=ann,
         residual=0.0)
     rep = harness.error_norms(zero, base_series)
 
@@ -338,12 +338,35 @@ def _spy_rows(monkeypatch):
 
     def spy(self, sol, seconds, errors=None):
         out = report(self, sol, seconds, errors)
-        rows.append((sol.config.N, (out.err_h0, out.err_h1),
+        rows.append((sol.N, (out.err_h0, out.err_h1),
                      errors is not None,
                      self.errors(sol.u_nodal, sol.p_nodal)))
         return out
     monkeypatch.setattr(harness._ExactQuadrature, "report", spy)
     return rows
+
+
+def test_rows_share_their_blocks_physics_and_load(monkeypatch):
+    """The physics is built once per k, not once per row: every system of
+    a truncation study takes its blocks' config and load themselves, and
+    the shared load is read-only."""
+    cfg = StudyConfig(levels=(1,), n_values=(1, 2, 3, 4))
+    built, systems = [], []
+    post_init, assemble = PhysicalConfig.__post_init__, harness.assemble_system
+    monkeypatch.setattr(PhysicalConfig, "__post_init__", lambda config: (
+        built.append(config) or post_init(config)))
+
+    def spy(blocks, N):
+        systems.append((blocks, assemble(blocks, N)))
+        return systems[-1][1]
+    monkeypatch.setattr(harness, "assemble_system", spy)
+    harness.truncation_study(cfg)
+    assert len(built) == len(cfg.k_values)
+    assert [system.N for _, system in systems] == list(cfg.n_values)
+    for blocks, system in systems:
+        assert system.config is blocks.config and system.rhs is blocks.load
+        with pytest.raises(ValueError):
+            system.rhs[0] = 0.0
 
 
 def _worst_drift(rows) -> float:
@@ -536,7 +559,7 @@ def test_oracle_tables_through_the_rotation_table_match_one_sector(
     for sol in (interpolant_solution(exact, disc, ann), FieldSolution(
             u_nodal=np.zeros((disc.num_nodes, 2), dtype=complex),
             p_nodal=np.zeros(ann.num_nodes, dtype=complex),
-            config=exact.config, disc_mesh=disc, annulus_mesh=ann,
+            config=exact.config, N=20, disc_mesh=disc, annulus_mesh=ann,
             residual=0.0)):
         for a, b in zip(sectored.errors(sol.u_nodal, sol.p_nodal),
                         single.errors(sol.u_nodal, sol.p_nodal)):

@@ -109,8 +109,9 @@ def test_evaluate_reproduces_linear_field(solution16):
         2.0 + 3.0 * mesh.nodes[:, 0] - mesh.nodes[:, 1],
         0.5 * mesh.nodes[:, 0] + 0.25 * mesh.nodes[:, 1]]).astype(complex)
     fake = FieldSolution(u_nodal=nodal, p_nodal=solution16.p_nodal.copy(),
-                         config=solution16.config, disc_mesh=mesh,
-                         annulus_mesh=solution16.annulus_mesh, residual=0.0)
+                         config=solution16.config, N=solution16.N,
+                         disc_mesh=mesh, annulus_mesh=solution16.annulus_mesh,
+                         residual=0.0)
     for pt in ((0.31, -0.22), (-0.4, 0.1), (0.0, 0.55)):
         want = np.array([2.0 + 3.0 * pt[0] - pt[1],
                          0.5 * pt[0] + 0.25 * pt[1]])
@@ -213,7 +214,7 @@ def _random_solution(disc, ann, seed):
     u = rng.normal(size=(disc.num_nodes, 2)) \
         + 1j * rng.normal(size=(disc.num_nodes, 2))
     p = rng.normal(size=ann.num_nodes) + 1j * rng.normal(size=ann.num_nodes)
-    return FieldSolution(u_nodal=u, p_nodal=p, config=PhysicalConfig(),
+    return FieldSolution(u_nodal=u, p_nodal=p, config=PhysicalConfig(), N=20,
                          disc_mesh=disc, annulus_mesh=ann, residual=0.0)
 
 
@@ -613,7 +614,7 @@ def test_only_fallback_rows_form_their_matrix(monkeypatch, failure):
 
     def matrix(system):
         if "matrix" not in system.__dict__:
-            formed.append(system.config.N)
+            formed.append(system.N)
         return lazy.__get__(system, type(system))
 
     monkeypatch.setattr(assembly.FemSystem, "matrix", property(matrix))

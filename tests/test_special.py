@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dtnfem import special
+from dtnfem import dtn, special
+from dtnfem import mesh as M
 
 mp.mp.dps = 40
 
@@ -92,6 +93,20 @@ def test_order_cap_is_explicit():
         special.bessel_j(special.MAX_ORDER + 1, 1.0)
     with pytest.raises(ValueError):
         special.bessel_j(-1, 1.0)
+
+
+@pytest.mark.parametrize("order", [np.inf, -np.inf, np.nan])
+def test_non_finite_order_is_the_order_checks_own_refusal(order):
+    """A non-finite order is the order check's ValueError wherever it
+    enters: the check itself, the public functions and the DtN factor."""
+    trace = M.boundary_trace(M.build_annulus_mesh(1.0, 2.0, 16), M.GAMMA_R)
+    for call in (lambda: special._check_order(order),
+                 lambda: special.bessel_j(order, 1.0),
+                 lambda: special.hankel1_derivative(order, 1.0),
+                 lambda: special.dtn_coefficients(order, 1.0, 2.0),
+                 lambda: dtn.dtn_factor(trace, 1.0, 2.0, order)):
+        with pytest.raises(ValueError, match="non-negative integer"):
+            call()
 
 
 def test_j_accepts_arrays():
