@@ -63,7 +63,7 @@ def _parse_list(text, cast):
 
 
 def read_config_file(path) -> dict:
-    """Flat key = value text, '#' comments; keys mirror PhysicalConfig."""
+    """Flat key = value text, '#' comments; keys set StudyConfig fields."""
     values = {}
     try:
         fh = open(path)

@@ -374,10 +374,10 @@ def _solve_exact(cfg: StudyConfig, k: float) -> analytic.SeriesSolution:
 
 
 def _solve_oracles(cfg: StudyConfig, k_values, order: int) -> list:
-    """The oracle of every k, then a check that the truncation ``order`` can
-    be built at each k, all before any mesh is built.  An order whose
-    impedance overflows is refused: the largest order that can be built
-    grows with kR (z_170 overflows at k = 1, R = 2, but not at k = 2)."""
+    """The order check, the oracle of every k, then a check that ``order``
+    can be built at each k, all before any mesh: z_170 overflows at k = 1,
+    R = 2, but not at k = 2, so the largest order grows with kR."""
+    special._check_order(order)   # a refused order solves no oracle
     exacts = [_solve_exact(cfg, k) for k in k_values]
     for k in k_values:
         try:

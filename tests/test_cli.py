@@ -152,6 +152,24 @@ def test_order_past_the_impedance_overflow_builds_no_mesh(argv, tmp_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "--level", "0", "--order", "-1"],
+    ["convergence", "--levels", "1", "--order", "-1"]])
+def test_negative_order_is_refused_before_any_oracle(argv, tmp_path, capsys,
+                                                     monkeypatch):
+    """A negative order is the order check's configuration error, raised
+    before the oracle of any k is solved."""
+    def no_oracle(*args, **kwargs):
+        raise AssertionError("an oracle was solved")
+
+    monkeypatch.setattr(analytic, "solve_modes", no_oracle)
+    out = tmp_path / "out.csv"
+    assert run([*argv, "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "order must be a non-negative integer, got -1" in err
+    assert "Traceback" not in err and not out.exists()
+
+
 @pytest.mark.parametrize("argv", [["--n-max", "169"],
                                   ["--n-max", "170", "--k", "2"]])
 def test_largest_buildable_order_runs(argv, tmp_path):
