@@ -124,7 +124,8 @@ def solve_modes(config: PhysicalConfig,
     the only stop: a budget n_modes < MAX_ORDER is an upper bound, and the
     default, MAX_ORDER - 1, is a ValueError if it runs out first.  Raises
     SingularModeError if an entry of E_n or e_n is not finite (its Bessel
-    values overflowed), if a solve's normwise backward error, in max norms,
+    values overflowed), if a column of E_n is zero (its J values
+    underflowed), if a solve's normwise backward error, in max norms,
     is above 1e-14, or if E_n with its columns and then its rows scaled to
     unit largest entry has sigma_min/sigma_max below 1e-12 (a degenerate
     system).
@@ -144,6 +145,16 @@ def solve_modes(config: PhysicalConfig,
             if not (np.all(np.isfinite(E)) and np.all(np.isfinite(e))):
                 raise FloatingPointError("E_n or e_n overflowed the "
                                          "floating-point range")
+            # J_{n-1} and J_n of a small k_p R0 (column 1) or k_s R0
+            # (column 2) underflow to 0; H_n (column 0) has no zero
+            zero = ~E.any(axis=0)
+            if zero.any():
+                col, kind = (1, "k_p") if zero[1] else (2, "k_s")
+                x = getattr(config, kind) * config.R0
+                raise FloatingPointError(
+                    f"J_{n - 1} and J_{n} of {kind} R0 = {x:.6g} underflowed "
+                    f"to {_sp.jv(n - 1, x):.3g} and {_sp.jv(n, x):.3g}, so "
+                    f"column {col} of E_{n} is zero")
             with np.errstate(over="raise", divide="raise", invalid="raise"):
                 X = np.linalg.solve(E, e)
                 backward = np.abs(E @ X - e).max() / (
@@ -183,11 +194,9 @@ def _incidence_angle(config: PhysicalConfig) -> float:
 
 
 def _broadcast(r, theta):
-    r = np.asarray(r, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    shape = np.broadcast_shapes(r.shape, theta.shape)
-    return (np.broadcast_to(r, shape).ravel(),
-            np.broadcast_to(theta, shape).ravel(), shape)
+    r, theta = np.broadcast_arrays(np.asarray(r, dtype=float),
+                                   np.asarray(theta, dtype=float))
+    return r.ravel(), theta.ravel(), r.shape
 
 
 def _sector_phases(M: int, sectors: int):
@@ -394,9 +403,8 @@ def _mode_sums(sol: SeriesSolution, build, radial, rf, tf, groups: tuple,
     """The first sum(groups) outputs of ``build``'s rows (``_cached_rows``)
     at the points (rf, tf) for every sector, as complex arrays
     (sectors, points, size), one per group size.  ``radial(radii)`` gives
-    the real radial tables (kinds, orders, radii), contiguous so that
-    ``take`` copies no more than its columns: built once per distinct
-    radius (quadrature points share radii) and gathered per block.  Each
+    the real radial tables (kinds, orders, radii) of one block's radii,
+    contiguous so that the basis product runs on plain arrays.  Each
     block's sums are one real GEMM, written through the outputs' float
     views (sector, point, output and re/im).
     """
@@ -404,12 +412,10 @@ def _mode_sums(sol: SeriesSolution, build, radial, rf, tf, groups: tuple,
     rows = _cached_rows(sol, build, sectors)[:, :n_out]
     rows = rows.reshape(sectors * 2 * n_out, -1)
     tp = tf - _incidence_angle(sol.config)
-    radii, at = np.unique(rf, return_inverse=True)
-    tables = radial(radii)
     outs = [np.empty((sectors, rf.size, n), dtype=complex) for n in groups]
     parts = (slice(0, 2 * groups[0]), slice(2 * groups[0], 2 * n_out))
     for blk in (slice(i, i + _BLOCK) for i in range(0, rf.size, _BLOCK)):
-        Z = tables.take(at[blk], axis=2)
+        Z = radial(rf[blk])
         basis = Z[:, None] * _re_im(_angle_table(Z.shape[1], tp[blk]))
         sums = (rows @ basis.reshape(rows.shape[1], -1)).reshape(
             sectors, 2 * n_out, -1)

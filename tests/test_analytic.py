@@ -441,10 +441,11 @@ def test_bessel_recurrence_underflow_fallback():
 
 def test_radial_tables_on_distinct_radii_are_the_per_point_tables(
         mesh_pairs):
-    """The oracle builds its radial tables once per distinct radius and
-    gathers them per point.  Every step of a table (seeds, recurrence, the
-    J_0/J_1 rescale, the tiny-seed fallback) is per column, so the gathered
-    tables are bitwise the per-point ones."""
+    """Every step of a radial table (seeds, recurrence, the J_0/J_1
+    rescale, the tiny-seed fallback) is per column, so a column does not
+    depend on the other radii of its call: a table on the distinct radii
+    gathered per point, and a table on one block of the radii (as the
+    oracle builds them), are bitwise that part of the per-point table."""
     cfg, M = SOFT_SOLID, 30
     disc, ann = mesh_pairs[2]
     for mesh, kappas, table in ((ann, (cfg.k,), analytic._h_table),
@@ -455,8 +456,35 @@ def test_radial_tables_on_distinct_radii_are_the_per_point_tables(
         radii, at = np.unique(r, return_inverse=True)
         assert radii.size < r.size / 4      # the radii repeat
         for kappa in kappas:
+            whole = table(M, kappa * r)
             np.testing.assert_array_equal(
-                table(M, kappa * radii).take(at, axis=1), table(M, kappa * r))
+                table(M, kappa * radii).take(at, axis=1), whole)
+            for i in range(0, r.size, analytic._BLOCK):
+                blk = slice(i, i + analytic._BLOCK)
+                np.testing.assert_array_equal(table(M, kappa * r[blk]),
+                                              whole[:, blk])
+
+
+def test_radial_tables_are_built_per_block(monkeypatch):
+    """Each block of the oracle's points builds its own radial tables,
+    from that block's radii only, even where the radii repeat: 2,500
+    points on 500 radii take blocks of 1,024, 1,024 and 452 points, and
+    the J table gets both wave numbers' arguments of its block."""
+    sol = analytic.solve_modes(PhysicalConfig())
+    sizes = {"_h_table": [], "_j_table": []}
+    for name, sizes_of in sizes.items():
+        def spy(M, x, _original=getattr(analytic, name), _sizes=sizes_of):
+            _sizes.append(x.size)
+            return _original(M, x)
+        monkeypatch.setattr(analytic, name, spy)
+    rng = np.random.default_rng(3)
+    theta = rng.uniform(0.0, 2 * np.pi, 2500)
+    analytic.eval_pressure(sol, np.repeat(np.linspace(1.0, 2.0, 500), 5),
+                           theta)
+    analytic.eval_displacement(sol, np.repeat(np.linspace(0.0, 1.0, 500), 5),
+                               theta, with_gradient=True)
+    assert sizes == {"_h_table": [1024, 1024, 452],
+                     "_j_table": [2048, 2048, 904]}
 
 
 @pytest.mark.parametrize("cfg", [PhysicalConfig(), SOFT_SOLID],
@@ -780,4 +808,19 @@ def test_a_mode_whose_bessel_values_overflow_fails_at_that_mode(
     assert cli.main(["oracle", "--point", "1.5", "0"]) == 2
     err = capsys.readouterr().err
     assert f"numerical failure: mode {first}: " in err
+    assert "Traceback" not in err
+
+
+def test_a_mode_whose_bessel_values_underflow_is_named(capsys):
+    """At k = 100 and the default omega, k_p R0 = 0.577 and scipy's
+    J_n(k_p R0) is 0.0 from n = 131 on, so column 1 of E_132 is exactly
+    zero: the refusal names the underflow, not a singular matrix."""
+    with pytest.raises(analytic.SingularModeError,
+                       match=r"^mode 132: J_131 and J_132 of k_p R0 = "
+                             r"0\.57735 underflowed to 0 and 0"):
+        analytic.solve_modes(PhysicalConfig(k=100.0))
+    assert cli.main(["solve", "--k", "100", "--level", "0"]) == 2
+    err = capsys.readouterr().err
+    assert "numerical failure: mode 132: " in err and "underflow" in err
+    assert "Singular matrix" not in err
     assert "Traceback" not in err

@@ -83,8 +83,9 @@ def test_oracle_build_memory_stays_at_its_measured_peak(base_series,
     """The oracle works in blocks of points: a full-length table or
     temporary would show here before it shows in the peak RSS of a study.
     The tracemalloc peak of this build on the default level-3 pair was
-    14,292,857 bytes (13.6 MiB) when the radial tables were still built per
-    point; the distinct-radius tables must fit in the same 5% margin."""
+    14,292,857 bytes (13.6 MiB) when the radial tables were first built per
+    point; with the tables built per block it is 10,834,876 bytes, and the
+    bound stays 5% above the first."""
     disc, ann = mesh_pairs[3]
     tracemalloc.start()
     try:
